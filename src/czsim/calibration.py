@@ -16,7 +16,6 @@ from scipy.optimize import root
 from .device import (
     DeviceModelError,
     DeviceSpec,
-    DressedBasis,
     HamiltonianTerms,
     build_hamiltonian,
     dressed_basis,
@@ -25,7 +24,6 @@ from .distortion import DistortionModel, predistort
 from .metrics import (
     GateReport,
     conditional_phase,
-    fit_virtual_z,
     gate_report,
     leakage_from_11,
     nelder_mead_minimize,
@@ -48,10 +46,9 @@ class ScanGrid:
 
     coupling_axis: tuple[float, ...] = ()
     detune_axis: tuple[float, ...] = ()
-    gate_count_axis: tuple[int, ...] = ()
 
     def __post_init__(self):
-        for name in ("coupling_axis", "detune_axis", "gate_count_axis"):
+        for name in ("coupling_axis", "detune_axis"):
             axis = np.asarray(getattr(self, name))
             if len(axis) == 0:
                 continue
@@ -86,7 +83,6 @@ class ScanResult:
             "kind": self.kind,
             "coupling_axis": list(self.grid.coupling_axis),
             "detune_axis": list(self.grid.detune_axis),
-            "gate_count_axis": list(self.grid.gate_count_axis),
             "values": np.asarray(self.values).tolist(),
         }
 
@@ -300,31 +296,29 @@ def calibrated_length_sweep(ctx: GateContext, pulse: PulseShapeSpec, lengths,
     return [records[v] for v in lengths]
 
 
-def leakage_scan(ctx: GateContext, grid: ScanGrid, pulse: PulseShapeSpec) -> ScanResult:
-    """Leakage from dressed |101> over (peak coupling, Q2 detune)."""
+def _grid_scan(ctx: GateContext, grid: ScanGrid, pulse: PulseShapeSpec, measure,
+               kind: str) -> ScanResult:
+    """measure(result) at every (peak coupling, Q2 detune) point of the grid."""
     values = np.zeros((len(grid.coupling_axis), len(grid.detune_axis)))
     for i, peak in enumerate(grid.coupling_axis):
         for j, det in enumerate(grid.detune_axis):
             try:
-                result = ctx.run(replace(pulse, peak_value=peak), det)
+                values[i, j] = measure(ctx.run(replace(pulse, peak_value=peak), det))
             except (ValueError, DeviceModelError) as exc:
                 raise CalibrationError(f"scan failed at (g={peak}, detune={det}): {exc}") from exc
-            values[i, j], _ = leakage_from_11(result)
-    return ScanResult(grid=grid, values=values, kind="leakage")
+    return ScanResult(grid=grid, values=values, kind=kind)
+
+
+def leakage_scan(ctx: GateContext, grid: ScanGrid, pulse: PulseShapeSpec) -> ScanResult:
+    """Leakage from dressed |101> over (peak coupling, Q2 detune)."""
+    return _grid_scan(ctx, grid, pulse, lambda result: leakage_from_11(result)[0], "leakage")
 
 
 def phase_scan(ctx: GateContext, grid: ScanGrid, pulse: PulseShapeSpec) -> ScanResult:
     """Conditional phase (degrees) over (peak coupling, Q2 detune)."""
-    values = np.zeros((len(grid.coupling_axis), len(grid.detune_axis)))
-    for i, peak in enumerate(grid.coupling_axis):
-        for j, det in enumerate(grid.detune_axis):
-            try:
-                result = ctx.run(replace(pulse, peak_value=peak), det)
-                m = project_computational(result)
-                values[i, j] = np.degrees(conditional_phase(m))
-            except (ValueError, DeviceModelError) as exc:
-                raise CalibrationError(f"scan failed at (g={peak}, detune={det}): {exc}") from exc
-    return ScanResult(grid=grid, values=values, kind="phase_deg")
+    return _grid_scan(ctx, grid, pulse,
+                      lambda result: np.degrees(conditional_phase(project_computational(result))),
+                      "phase_deg")
 
 
 def repeated_gate_scan(ctx: GateContext, pulse: PulseShapeSpec, n_list,
@@ -363,7 +357,6 @@ def repeated_gate_scan(ctx: GateContext, pulse: PulseShapeSpec, n_list,
     grid = ScanGrid(
         coupling_axis=tuple(axis_values) if axis == "coupling" else (),
         detune_axis=tuple(axis_values) if axis == "detune" else (),
-        gate_count_axis=tuple(sorted(n_list)),
     )
     return (
         ScanResult(grid=grid, values=leak, kind="leakage"),

@@ -63,10 +63,14 @@ def _emit_error(kind: str, message: str) -> None:
 
 
 def default_workers() -> int:
+    """CZSIM_THREADS if set, else the number of CPUs this process may run on."""
     env = os.environ.get("CZSIM_THREADS")
     if env:
         return max(int(env), 1)
-    return os.cpu_count() or 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity (macOS, Windows)
+        return os.cpu_count() or 1
 
 
 def parallel_map(fn, items, workers: int):
@@ -106,6 +110,16 @@ def _calibrated(cfg: RunConfig, ctx: GateContext, pulse):
     return calibrate_cz(ctx, pulse, seed_peak=seed_peak, seed_detune=seed_detune)
 
 
+def _pulse_dict(pulse) -> dict:
+    return {
+        "family": pulse.family,
+        "length_ns": pulse.length,
+        "peak_value": pulse.peak_value,
+        "parameterization": pulse.parameterization,
+        "slepian_coefficients": list(pulse.slepian_coefficients),
+    }
+
+
 # ---------------------------------------------------------------- gate
 
 def cmd_gate(cfg: RunConfig, args) -> int:
@@ -127,13 +141,7 @@ def cmd_gate(cfg: RunConfig, args) -> int:
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "gate_report.json", cfg, {
-        "pulse": {
-            "family": pulse.family,
-            "length_ns": pulse.length,
-            "peak_value": pulse.peak_value,
-            "parameterization": pulse.parameterization,
-            "slepian_coefficients": list(pulse.slepian_coefficients),
-        },
+        "pulse": _pulse_dict(pulse),
         "q2_detune_ghz": detune,
         "report": report.to_dict(),
     })
@@ -148,19 +156,12 @@ def cmd_gate(cfg: RunConfig, args) -> int:
 # ---------------------------------------------------------------- sweep
 
 def _fig2b_family(task):
-    cfg_raw, family, lengths, calibration_length = task
-    cfg = load_config_raw(cfg_raw)
+    cfg, family, lengths, calibration_length = task
     ctx = _context(cfg)
     pulse = replace(cfg.pulse, family=family)
     records = calibrated_length_sweep(ctx, pulse, lengths,
                                       seed_length=calibration_length)
     return [rec["leakage"] for rec in records]
-
-
-def load_config_raw(raw: dict) -> RunConfig:
-    # Reconstruct a RunConfig inside a worker process from the raw dict.
-    from .config import _materialize
-    return _materialize(raw)
 
 
 def _parse_lengths(text: str) -> np.ndarray:
@@ -176,7 +177,7 @@ def _parse_lengths(text: str) -> np.ndarray:
 def _sweep_fig2b(cfg: RunConfig, args, out: Path) -> None:
     lengths = _parse_lengths(args.lengths or "20:80:5")
     families = ("square", "slepian", "cosine")
-    tasks = [(cfg.raw, family, list(map(float, lengths)), args.calibration_length)
+    tasks = [(cfg, family, list(map(float, lengths)), args.calibration_length)
              for family in families]
     curves = parallel_map(_fig2b_family, tasks, args.workers)
     columns = dict(zip(families, curves))
@@ -283,13 +284,7 @@ def cmd_optimize(cfg: RunConfig, args) -> int:
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / f"optimized_{family}.json", cfg, {
-        "pulse": {
-            "family": best.family,
-            "length_ns": best.length,
-            "peak_value": best.peak_value,
-            "parameterization": best.parameterization,
-            "slepian_coefficients": list(best.slepian_coefficients),
-        },
+        "pulse": _pulse_dict(best),
         "q2_detune_ghz": float(point[2]),
         "converged": bool(converged),
         "report": report.to_dict(),
@@ -335,7 +330,7 @@ def cmd_xeb(cfg: RunConfig, args) -> int:
 
 
 def cmd_spb(cfg: RunConfig, args) -> int:
-    p = cfg.noise.depolarizing_per_cycle if cfg.noise else 0.0
+    p = cfg.noise.depolarizing_per_cycle
     purity, purity_fidelity = speckle_purity_experiment(
         n_qubits=args.qubits, depth=args.depth, n_circuits=args.circuits,
         depolarizing_per_cycle=p, seed=cfg.seed)

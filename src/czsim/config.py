@@ -12,7 +12,7 @@ import jsonschema
 
 from . import __version__
 from .benchmarking import NoiseSpec
-from .device import CouplingGraph, DeviceSpec, FluxModel, ModeSpec, zero_coupling_point
+from .device import CouplingGraph, DeviceSpec, ModeSpec, zero_coupling_point
 from .distortion import DistortionModel
 from .pulses import PulseShapeSpec
 
@@ -58,22 +58,6 @@ CONFIG_SCHEMA = {
                         "g_12": {"type": "number"},
                     },
                 },
-                "flux_models": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "patternProperties": {
-                        "^(Q1|Q2|C)$": {
-                            "type": "object",
-                            "additionalProperties": False,
-                            "required": ["max_frequency", "anharmonicity"],
-                            "properties": {
-                                "max_frequency": {"type": "number"},
-                                "anharmonicity": {"type": "number"},
-                            },
-                        }
-                    },
-                },
-                "metadata": {"type": "object"},
                 "coupler_at_zero_coupling": {"type": "boolean"},
             },
         },
@@ -82,7 +66,6 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "dt_ns": {"type": "number", "exclusiveMinimum": 0},
-                "unitarity_tolerance": {"type": "number", "exclusiveMinimum": 0},
             },
         },
         "pulse": {
@@ -162,14 +145,9 @@ DEFAULT_CONFIG = {
             {"label": "Q2", "frequency": 4.889, "anharmonicity": -0.235, "levels": 3},
         ],
         "couplings": {"g_1c": 0.090, "g_2c": 0.090, "g_12": 0.006},
-        "flux_models": {
-            "Q1": {"max_frequency": 5.299, "anharmonicity": -0.235},
-            "Q2": {"max_frequency": 5.211, "anharmonicity": -0.235},
-            "C": {"max_frequency": 7.0, "anharmonicity": -0.100},
-        },
         "coupler_at_zero_coupling": True,
     },
-    "solver": {"dt_ns": 0.05, "unitarity_tolerance": 1e-9},
+    "solver": {"dt_ns": 0.05},
     "pulse": {
         "family": "slepian",
         "length_ns": 45.0,
@@ -183,6 +161,7 @@ DEFAULT_CONFIG = {
         "depolarizing_per_cycle": 0.0,
         "readout": {"f00": [0.993, 0.996], "f11": [0.966, 0.974]},
     },
+    "benchmarking": {"depths": [1, 3, 5, 8, 12, 17, 23, 30], "n_circuits": 50, "shots": None},
     "seed": 0,
     "output_dir": "czsim_out",
 }
@@ -195,12 +174,11 @@ class RunConfig:
     raw: dict
     device: DeviceSpec
     dt: float
-    unitarity_tolerance: float
     pulse: PulseShapeSpec
     q2_detune: float | None
     compensate: bool
     distortion: DistortionModel | None
-    noise: NoiseSpec | None
+    noise: NoiseSpec
     depths: tuple[int, ...]
     n_circuits: int
     shots: int | None
@@ -232,15 +210,15 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-def load_config(path=None, overrides: dict | None = None, fill_defaults: bool = True) -> RunConfig:
+def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     """Load, validate, and materialize a run configuration.
 
-    path=None uses the built-in defaults.  overrides are merged on top
-    (CLI flags).  Unknown keys anywhere are schema errors.
+    path=None uses the built-in defaults; a config file is merged on top
+    of them, and overrides (CLI flags) on top of that.  Unknown keys
+    anywhere are schema errors.
     """
-    if path is None:
-        raw = dict(DEFAULT_CONFIG)
-    else:
+    raw = {}
+    if path is not None:
         p = Path(path)
         if not p.exists():
             raise FileNotFoundError(f"config file not found: {p}")
@@ -249,8 +227,7 @@ def load_config(path=None, overrides: dict | None = None, fill_defaults: bool = 
                 raw = json.load(f)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{p}: invalid JSON: {exc}") from exc
-    if fill_defaults:
-        raw = _merge(DEFAULT_CONFIG, raw)
+    raw = _merge(DEFAULT_CONFIG, raw)
     if overrides:
         raw = _merge(raw, overrides)
     try:
@@ -261,31 +238,28 @@ def load_config(path=None, overrides: dict | None = None, fill_defaults: bool = 
 
 
 def _materialize(raw: dict) -> RunConfig:
+    """Build the domain objects from a config already merged with DEFAULT_CONFIG."""
     dev = raw["device"]
+    # A user's modes list replaces the default one wholesale, so levels
+    # keeps a fallback here.
     modes = tuple(
         ModeSpec(m["label"], m["frequency"], m["anharmonicity"], m.get("levels", 3))
         for m in dev["modes"]
     )
-    flux_models = {
-        label: FluxModel(fm["max_frequency"], fm["anharmonicity"])
-        for label, fm in dev.get("flux_models", {}).items()
-    }
-    device = DeviceSpec(modes, CouplingGraph(**dev["couplings"]), flux_models,
-                        dev.get("metadata", {}))
-    if dev.get("coupler_at_zero_coupling", False):
+    device = DeviceSpec(modes, CouplingGraph(**dev["couplings"]))
+    if dev["coupler_at_zero_coupling"]:
         device = device.with_frequencies(coupler=zero_coupling_point(device))
 
-    solver = raw.get("solver", {})
-    pulse_cfg = raw.get("pulse", {})
+    pulse_cfg = raw["pulse"]
     pulse = PulseShapeSpec(
-        family=pulse_cfg.get("family", "slepian"),
-        length=pulse_cfg.get("length_ns", 45.0),
-        idle_value=pulse_cfg.get("idle_value", 0.0),
-        peak_value=pulse_cfg.get("peak_value", -0.022),
-        parameterization=pulse_cfg.get("parameterization", "effective_coupling"),
-        slepian_coefficients=tuple(pulse_cfg.get("slepian_coefficients", [1.0])),
+        family=pulse_cfg["family"],
+        length=pulse_cfg["length_ns"],
+        idle_value=pulse_cfg["idle_value"],
+        peak_value=pulse_cfg["peak_value"],
+        parameterization=pulse_cfg["parameterization"],
+        slepian_coefficients=tuple(pulse_cfg["slepian_coefficients"]),
     )
-    gate = raw.get("gate", {})
+    gate = raw["gate"]
 
     distortion = None
     if "distortion" in raw:
@@ -297,31 +271,24 @@ def _materialize(raw: dict) -> RunConfig:
             gain=d.get("gain", 1.0),
         )
 
-    noise = None
-    if "noise" in raw:
-        n = raw["noise"]
-        readout = n.get("readout")
-        if readout:
-            f00 = dict(enumerate(readout.get("f00", [1.0, 1.0])))
-            f11 = dict(enumerate(readout.get("f11", [1.0, 1.0])))
-            noise = NoiseSpec.from_fidelities(n.get("depolarizing_per_cycle", 0.0), f00, f11)
-        else:
-            noise = NoiseSpec(n.get("depolarizing_per_cycle", 0.0))
+    n = raw["noise"]
+    noise = NoiseSpec.from_fidelities(n["depolarizing_per_cycle"],
+                                      dict(enumerate(n["readout"]["f00"])),
+                                      dict(enumerate(n["readout"]["f11"])))
 
-    bench = raw.get("benchmarking", {})
+    bench = raw["benchmarking"]
     return RunConfig(
         raw=raw,
         device=device,
-        dt=solver.get("dt_ns", 0.05),
-        unitarity_tolerance=solver.get("unitarity_tolerance", 1e-9),
+        dt=raw["solver"]["dt_ns"],
         pulse=pulse,
-        q2_detune=gate.get("q2_detune"),
-        compensate=gate.get("compensate", True),
+        q2_detune=gate["q2_detune"],
+        compensate=gate["compensate"],
         distortion=distortion,
         noise=noise,
-        depths=tuple(bench.get("depths", [1, 3, 5, 8, 12, 17, 23, 30])),
-        n_circuits=bench.get("n_circuits", 50),
-        shots=bench.get("shots"),
-        seed=raw.get("seed", 0),
-        output_dir=Path(raw.get("output_dir", "czsim_out")),
+        depths=tuple(bench["depths"]),
+        n_circuits=bench["n_circuits"],
+        shots=bench["shots"],
+        seed=raw["seed"],
+        output_dir=Path(raw["output_dir"]),
     )

@@ -13,7 +13,7 @@ this boundary and nowhere else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -75,28 +75,11 @@ class CouplingGraph:
 
 
 @dataclass(frozen=True)
-class FluxModel:
-    """Symmetric-SQUID transmon frequency-vs-flux model.
-
-    w(phi) = (w_max - eta) * sqrt(|cos(pi phi)|) + eta, phi in flux quanta.
-    """
-
-    max_frequency: float
-    anharmonicity: float
-
-
-@dataclass(frozen=True)
 class DeviceSpec:
-    """Full three-mode device: modes ordered (Q1, C, Q2) plus couplings.
-
-    metadata carries measured quantities with no dynamical role here
-    (T1, T2*, readout fidelities, resonator parameters).
-    """
+    """Full three-mode device: modes ordered (Q1, C, Q2) plus couplings."""
 
     modes: tuple[ModeSpec, ModeSpec, ModeSpec]
     couplings: CouplingGraph
-    flux_models: dict[str, FluxModel] = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         labels = tuple(m.label for m in self.modes)
@@ -126,11 +109,11 @@ class DeviceSpec:
                 new.append(mode)
             else:
                 new.append(ModeSpec(mode.label, f, mode.anharmonicity, mode.levels))
-        return DeviceSpec(tuple(new), self.couplings, self.flux_models, self.metadata)
+        return DeviceSpec(tuple(new), self.couplings)
 
     def with_levels(self, levels: int) -> "DeviceSpec":
         new = tuple(ModeSpec(m.label, m.frequency, m.anharmonicity, levels) for m in self.modes)
-        return DeviceSpec(new, self.couplings, self.flux_models, self.metadata)
+        return DeviceSpec(new, self.couplings)
 
 
 @dataclass(frozen=True)
@@ -364,45 +347,3 @@ def zero_coupling_point(spec: DeviceSpec, search_range: tuple[float, float] | No
     if abs(effective_coupling(spec, root)) >= 1e-6:
         raise DeviceModelError("bisection failed to reach |g_eff| < 1e-6 GHz")
     return float(root)
-
-
-def flux_to_frequency(model: FluxModel, flux: float) -> float:
-    """Qubit frequency at the given flux bias (flux quanta), symmetric SQUID."""
-    flux = np.asarray(flux, dtype=float)
-    if np.any(np.abs(flux) >= 0.5):
-        raise DeviceModelError("flux bias must satisfy |phi| < 0.5 flux quanta")
-    w = (model.max_frequency - model.anharmonicity) * np.sqrt(
-        np.abs(np.cos(np.pi * flux))
-    ) + model.anharmonicity
-    return float(w) if w.ndim == 0 else w
-
-
-def default_device(levels: int = 3, coupler_at_zero_coupling: bool = True) -> DeviceSpec:
-    """Default two-qubit-plus-coupler device.
-
-    Qubit idle frequencies, anharmonicities, maximum frequencies and the
-    readout/coherence metadata follow the measured device; the coupling
-    strengths and coupler parameters are representative values for this
-    architecture (they are configuration, not measured).
-    """
-    q1 = ModeSpec("Q1", frequency=5.077, anharmonicity=-0.235, levels=levels)
-    q2 = ModeSpec("Q2", frequency=4.889, anharmonicity=-0.235, levels=levels)
-    coupler = ModeSpec("C", frequency=7.0, anharmonicity=-0.100, levels=levels)
-    couplings = CouplingGraph(g_1c=0.090, g_2c=0.090, g_12=0.006)
-    flux_models = {
-        "Q1": FluxModel(max_frequency=5.299, anharmonicity=-0.235),
-        "Q2": FluxModel(max_frequency=5.211, anharmonicity=-0.235),
-        "C": FluxModel(max_frequency=7.0, anharmonicity=-0.100),
-    }
-    metadata = {
-        "T1_us": {"Q1": 20.56, "Q2": 26.32},
-        "T2_star_us": {"Q1": 2.52, "Q2": 2.16},
-        "readout_frequency_ghz": {"Q1": 6.403, "Q2": 6.477},
-        "dispersive_shift_mhz": {"Q1": 1.05, "Q2": 0.85},
-        "readout_fidelity_0": {"Q1": 0.993, "Q2": 0.996},
-        "readout_fidelity_1": {"Q1": 0.966, "Q2": 0.974},
-    }
-    spec = DeviceSpec((q1, coupler, q2), couplings, flux_models, metadata)
-    if coupler_at_zero_coupling:
-        spec = spec.with_frequencies(coupler=zero_coupling_point(spec))
-    return spec

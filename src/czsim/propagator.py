@@ -63,19 +63,6 @@ class ControlSchedule:
     def dt(self) -> float:
         return self.coupler_trajectory.dt
 
-    @property
-    def total_length(self) -> float:
-        return self.coupler_trajectory.duration
-
-    def constant(self) -> bool:
-        wf = self.coupler_trajectory.samples
-        if len(wf) and np.ptp(wf) != 0.0:
-            return False
-        for off in (self.qubit_offsets or {}).values():
-            if len(off.samples) and np.ptp(off.samples) != 0.0:
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class PropagationResult:

@@ -116,63 +116,14 @@ def sample_pulse(spec: PulseShapeSpec, dt: float = DEFAULT_DT) -> SampledWavefor
     return SampledWaveform(dt=dt, samples=samples, parameterization=spec.parameterization)
 
 
-def coupling_to_frequency(
-    device: DeviceSpec,
-    waveform: SampledWaveform,
-    search_range: tuple[float, float] | None = None,
-    tol: float = 1e-9,
-) -> SampledWaveform:
-    """Invert g_eff(w_c) per sample on the monotone branch above the qubits.
-
-    Vectorized bisection; the residual |g_eff(w_c) - target| is driven
-    below tol (GHz) for every sample.
-    """
-    if waveform.parameterization != "effective_coupling":
-        raise PulseError("waveform must be parameterized as effective_coupling")
-    if search_range is None:
-        lo = max(device.q1.frequency, device.q2.frequency) + 0.05
-        hi = 60.0
-    else:
-        lo, hi = search_range
-    # Pulses are symmetric (or piecewise constant), so bisect only the
-    # distinct sample values and scatter the solutions back.
-    targets, inverse = np.unique(waveform.samples, return_inverse=True)
-    g_lo = effective_coupling_batch(device, np.asarray([lo]))[0]
-    g_hi = effective_coupling_batch(device, np.asarray([hi]))[0]
-    bad = (targets < min(g_lo, g_hi)) | (targets > max(g_lo, g_hi))
-    if np.any(bad):
-        g_bad = targets[np.argmax(bad)]
-        idx = int(np.argmax(np.isin(waveform.samples, g_bad)))
-        raise PulseError(
-            f"sample {idx} (g_eff = {g_bad:.6f} GHz) outside the attainable "
-            f"range [{g_lo:.6f}, {g_hi:.6f}] GHz"
-        )
-    # g_eff is monotone increasing in w_c on this branch; bisect until the
-    # bracket is narrow enough that the midpoint meets tol with margin.
-    a = np.full_like(targets, lo)
-    b = np.full_like(targets, hi)
-    n_iter = int(np.ceil(np.log2((hi - lo) / 1e-12)))
-    for _ in range(n_iter):
-        mid = 0.5 * (a + b)
-        g_mid = effective_coupling_batch(device, mid)
-        below = g_mid < targets
-        a = np.where(below, mid, a)
-        b = np.where(below, b, mid)
-    mid = 0.5 * (a + b)
-    residual = np.abs(effective_coupling_batch(device, mid) - targets)
-    if np.any(residual > tol):
-        raise PulseError(f"inversion residual {residual.max():.2e} GHz exceeds {tol} GHz")
-    return SampledWaveform(dt=waveform.dt, samples=mid[inverse],
-                           parameterization="coupler_frequency")
-
-
 class CouplingInverter:
     """Cached inverse of g_eff(w_c) on the monotone branch above the qubits.
 
-    A dense forward table seeds an interpolated guess that Newton steps
-    polish to the bisection tolerance, so repeated inversions (calibration
-    loops, scans) skip the ~50 bisection sweeps of coupling_to_frequency
-    while agreeing with it to < tol.
+    A dense forward table, built once per device, seeds an interpolated
+    guess that up to three Newton steps polish until the residual
+    |g_eff(w_c) - target| is below tol (GHz) for every value; a value
+    outside the table's g_eff range, or one left above tol, raises
+    PulseError.
     """
 
     def __init__(self, device: DeviceSpec, search_range: tuple[float, float] | None = None,

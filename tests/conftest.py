@@ -3,12 +3,18 @@ import pytest
 
 from czsim.calibration import GateContext, calibrate_cz
 from czsim.config import load_config
-from czsim.device import build_hamiltonian, default_device, dressed_basis
+from czsim.device import build_hamiltonian, dressed_basis
 
 
 @pytest.fixture(scope="session")
-def device():
-    return default_device()
+def run_config():
+    return load_config()
+
+
+@pytest.fixture(scope="session")
+def device(run_config):
+    """The reference device of the built-in configuration."""
+    return run_config.device
 
 
 @pytest.fixture(scope="session")
@@ -19,11 +25,6 @@ def terms(device):
 @pytest.fixture(scope="session")
 def basis(terms):
     return dressed_basis(terms)
-
-
-@pytest.fixture(scope="session")
-def run_config():
-    return load_config()
 
 
 @pytest.fixture(scope="session")

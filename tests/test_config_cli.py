@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from czsim.cli import _parse_lengths, build_parser, main
+from czsim.cli import _parse_lengths, build_parser, default_workers, main
 from czsim.config import (
     CONFIG_VERSION,
     ConfigError,
@@ -111,6 +111,27 @@ def test_cli_invalid_config_exit_2(tmp_path, capsys):
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["kind"] == "invalid_config"
+
+
+@pytest.mark.parametrize("section", [
+    {"device": {"flux_models": {"Q1": {"max_frequency": 5.299, "anharmonicity": -0.235}}}},
+    {"device": {"metadata": {"T1_us": {"Q1": 20.56}}}},
+    {"solver": {"unitarity_tolerance": 1e-9}},
+])
+def test_cli_removed_config_keys_exit_2(tmp_path, capsys, section):
+    path = _write_cfg(tmp_path, section)
+    rc = main(["gate", "--config", str(path), "--output-dir", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["kind"] == "invalid_config"
+
+
+def test_default_workers_counts_usable_cpus(monkeypatch):
+    monkeypatch.delenv("CZSIM_THREADS", raising=False)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+    assert default_workers() == 1
+    monkeypatch.setenv("CZSIM_THREADS", "3")
+    assert default_workers() == 3
 
 
 def test_cli_sweep_requires_figure(tmp_path, capsys):

@@ -7,14 +7,11 @@ from czsim.device import (
     CouplingGraph,
     DeviceModelError,
     DeviceSpec,
-    FluxModel,
     ModeSpec,
     build_hamiltonian,
-    default_device,
     dressed_basis,
     effective_coupling,
     effective_coupling_batch,
-    flux_to_frequency,
     zero_coupling_point,
 )
 
@@ -27,7 +24,6 @@ def test_default_device_layout(device):
     assert device.q1.frequency == pytest.approx(5.077)
     assert device.q2.frequency == pytest.approx(4.889)
     assert device.q1.anharmonicity == pytest.approx(-0.235)
-    assert device.metadata["readout_fidelity_0"]["Q1"] == pytest.approx(0.993)
 
 
 def test_mode_validation():
@@ -65,8 +61,7 @@ def test_hamiltonian_shape_and_hermiticity(terms):
     dq2=st.floats(-0.3, 0.3),
 )
 @settings(max_examples=25, deadline=None)
-def test_assembled_hamiltonian_hermitian(dq1, dc, dq2):
-    terms = build_hamiltonian(default_device())
+def test_assembled_hamiltonian_hermitian(terms, dq1, dc, dq2):
     h = terms.assemble({"Q1": dq1, "C": dc, "Q2": dq2})
     assert np.allclose(h, h.T.conj())
 
@@ -119,8 +114,7 @@ def test_effective_coupling_monotone_on_branch(device):
 
 @given(wc=st.floats(5.5, 15.0))
 @settings(max_examples=30, deadline=None)
-def test_effective_coupling_batch_matches_scalar(wc):
-    device = default_device()
+def test_effective_coupling_batch_matches_scalar(device, wc):
     batch = effective_coupling_batch(device, np.asarray([wc]))[0]
     assert batch == pytest.approx(effective_coupling(device, wc), abs=1e-12)
 
@@ -136,17 +130,6 @@ def test_zero_coupling_point(device):
     assert abs(effective_coupling(device, zcp)) < 1e-6
     with pytest.raises(DeviceModelError):
         zero_coupling_point(device, search_range=(8.0, 12.0))
-
-
-def test_flux_model():
-    fm = FluxModel(max_frequency=5.299, anharmonicity=-0.235)
-    assert flux_to_frequency(fm, 0.0) == pytest.approx(5.299)
-    assert flux_to_frequency(fm, 0.2) == pytest.approx(flux_to_frequency(fm, -0.2))
-    phis = np.linspace(0.0, 0.45, 40)
-    ws = [flux_to_frequency(fm, p) for p in phis]
-    assert np.all(np.diff(ws) < 0)
-    with pytest.raises(DeviceModelError):
-        flux_to_frequency(fm, 0.5)
 
 
 def test_with_frequencies_and_levels(device):

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from czsim.device import effective_coupling_batch
 from czsim.pulses import (
+    CouplingInverter,
     PulseError,
     PulseShapeSpec,
     SampledWaveform,
-    coupling_to_frequency,
     sample_pulse,
     waveform_from_csv,
     waveform_to_csv,
@@ -76,7 +76,7 @@ def test_samples_within_envelope(family, length, peak):
 
 def test_coupling_to_frequency_residual(device):
     wf = sample_pulse(_spec(length=40.0, peak=-0.02), dt=0.1)
-    freq = coupling_to_frequency(device, wf)
+    freq = CouplingInverter(device)(wf)
     assert freq.parameterization == "coupler_frequency"
     back = effective_coupling_batch(device, freq.samples)
     assert np.max(np.abs(back - wf.samples)) < 1e-9
@@ -87,13 +87,13 @@ def test_coupling_to_frequency_residual(device):
 def test_coupling_to_frequency_out_of_range(device):
     wf = SampledWaveform(0.05, np.array([0.0, -5.0, 0.0]), "effective_coupling")
     with pytest.raises(PulseError):
-        coupling_to_frequency(device, wf)
+        CouplingInverter(device)(wf)
 
 
 def test_coupling_to_frequency_wrong_parameterization(device):
     wf = SampledWaveform(0.05, np.zeros(5), "coupler_frequency")
     with pytest.raises(PulseError):
-        coupling_to_frequency(device, wf)
+        CouplingInverter(device)(wf)
 
 
 def test_csv_round_trip(tmp_path):
