@@ -305,6 +305,7 @@ def cz_xeb_pipeline(cz_gate: np.ndarray | None = None, noise: NoiseSpec | None =
     kept_depths = []
     for di, depth in enumerate(depths):
         estimates = []
+        all_ideal = []
         all_noisy = []
         for ci in range(n_circuits):
             circ = generate_circuit(n_qubits, depth, seeds[di * n_circuits + ci],
@@ -315,6 +316,7 @@ def cz_xeb_pipeline(cz_gate: np.ndarray | None = None, noise: NoiseSpec | None =
             else:
                 outcomes = shot_rng.choice(dim, size=shots, p=noisy)
                 freqs = np.bincount(outcomes, minlength=dim) / shots
+            all_ideal.append(ideal)
             all_noisy.append(freqs)
             try:
                 measured = noisy if shots is None else outcomes
@@ -325,8 +327,11 @@ def cz_xeb_pipeline(cz_gate: np.ndarray | None = None, noise: NoiseSpec | None =
             continue
         kept_depths.append(depth)
         per_depth_f.append(float(np.mean(estimates)))
+        # Shallow ensembles are not yet Porter-Thomas, so normalize by the
+        # speckle purity of the same circuits' ideal outputs.
         purity, _ = speckle_purity(np.asarray(all_noisy), dim)
-        per_depth_purity.append(purity)
+        ideal_purity, _ = speckle_purity(np.asarray(all_ideal), dim)
+        per_depth_purity.append(purity / ideal_purity)
 
     fidelity_fit = fit_decay(kept_depths, per_depth_f, dim)
     purity_fit = fit_decay(kept_depths, per_depth_purity, dim)

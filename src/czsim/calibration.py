@@ -90,9 +90,12 @@ class ScanResult:
 class GateContext:
     """Shared per-device state for building and propagating gate schedules.
 
-    Holds the Hamiltonian terms, the idle dressed basis, and an
-    interpolated qubit-frequency compensation table so repeated scan
-    points do not re-derive them.
+    Holds the Hamiltonian terms, the idle dressed basis, the g_eff
+    inverter and, with compensate on, the interpolated qubit-frequency
+    compensation table, all built once here, so a schedule depends only on
+    (pulse, Q2 detune).  The table has 41 knots from 0.1 GHz above the
+    upper qubit to 0.05 GHz above the idle coupler; a schedule that dips
+    below it raises CalibrationError, and above it the end value holds.
     """
 
     def __init__(self, spec: DeviceSpec, dt: float = 0.05, compensate: bool = True,
@@ -102,21 +105,12 @@ class GateContext:
         self.terms = build_hamiltonian(spec)
         self.basis = dressed_basis(self.terms)
         self.distortion = distortion
-        self._compensation = None
-        self._inverter = None
         self.compensate = compensate
-
-    def _compensation_table(self, wc_min: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._compensation is None or self._compensation[0][0] > wc_min:
-            lo = min(wc_min, self.spec.coupler.frequency - 0.4)
-            wcs = np.linspace(lo - 0.05, self.spec.coupler.frequency + 0.05, 41)
-            curve = compensation_curve(self.spec, wcs, terms=self.terms)
-            self._compensation = (
-                np.array([c[0] for c in curve]),
-                np.array([c[1] for c in curve]),
-                np.array([c[2] for c in curve]),
-            )
-        return self._compensation
+        self._inverter = CouplingInverter(spec)
+        if compensate:
+            wcs = np.linspace(max(spec.q1.frequency, spec.q2.frequency) + 0.1,
+                              spec.coupler.frequency + 0.05, 41)
+            self._compensation = np.array(compensation_curve(spec, wcs, terms=self.terms)).T
 
     def build_schedule(self, pulse: PulseShapeSpec, q2_detune: float = 0.0) -> ControlSchedule:
         """Coupler-frequency schedule for a pulse given in g_eff units.
@@ -127,8 +121,6 @@ class GateContext:
         """
         wf = sample_pulse(pulse, self.dt)
         if wf.parameterization == "effective_coupling":
-            if self._inverter is None:
-                self._inverter = CouplingInverter(self.spec)
             wf = self._inverter(wf)
         if self.distortion is not None and not self.distortion.is_identity():
             wf = predistort(self.distortion, wf)
@@ -137,7 +129,11 @@ class GateContext:
         dq1 = np.zeros(n)
         dq2 = np.full(n, q2_detune)
         if self.compensate:
-            wc_grid, c1, c2 = self._compensation_table(float(np.min(wf.samples)))
+            wc_grid, c1, c2 = self._compensation
+            lowest = np.min(wf.samples)
+            if lowest < wc_grid[0]:
+                raise CalibrationError(f"coupler frequency {lowest:.6f} GHz is below the "
+                                       f"compensation table's floor {wc_grid[0]:.6f} GHz")
             dq1 += np.interp(wf.samples, wc_grid, c1)
             dq2 += np.interp(wf.samples, wc_grid, c2)
         offsets = {
@@ -169,8 +165,7 @@ def dressed_qubit_transitions(terms: HamiltonianTerms, coupler_frequency: float,
 
 
 def compensation_curve(spec: DeviceSpec, coupler_frequencies,
-                       terms: HamiltonianTerms | None = None,
-                       tol: float = 1e-7) -> list[tuple[float, float, float]]:
+                       terms: HamiltonianTerms | None = None) -> list[tuple[float, float, float]]:
     """Bare-frequency offsets holding the dressed qubit transitions fixed.
 
     For each coupler frequency w_c, root-find (dw_1, dw_2) such that both
@@ -188,7 +183,7 @@ def compensation_curve(spec: DeviceSpec, coupler_frequencies,
             t1, t2 = dressed_qubit_transitions(terms, wc, x[0], x[1])
             return [t1 - ref1, t2 - ref2]
 
-        sol = root(residual, guess, tol=tol)
+        sol = root(residual, guess, tol=1e-7)
         # Judge by the residual, not sol.success: near an exact root the
         # solver can stall at machine precision and still report failure.
         if np.max(np.abs(residual(sol.x))) > 1e-5:
@@ -200,8 +195,7 @@ def compensation_curve(spec: DeviceSpec, coupler_frequencies,
 
 def calibrate_cz(ctx: GateContext, pulse: PulseShapeSpec,
                  seed_peak: float | None = None, seed_detune: float | None = None,
-                 coarse: bool = True, nm_iterations: int = 200,
-                 simplex_scale: float = 1.0) -> tuple[PulseShapeSpec, float, GateReport]:
+                 nm_iterations: int = 200) -> tuple[PulseShapeSpec, float, GateReport]:
     """Locate the CZ operating point (peak coupling, Q2 detune) for a pulse.
 
     A coarse grid seeds a Nelder-Mead polish of 1 - fidelity over the two
@@ -211,8 +205,6 @@ def calibrate_cz(ctx: GateContext, pulse: PulseShapeSpec,
         best = None
         peaks = np.linspace(-0.030, -0.010, 11)
         detunes = np.linspace(-0.050, -0.005, 10)
-        if not coarse:
-            raise CalibrationError("need seeds when coarse search is disabled")
         for peak in peaks:
             for det in detunes:
                 try:
@@ -234,8 +226,8 @@ def calibrate_cz(ctx: GateContext, pulse: PulseShapeSpec,
 
     simplex = [
         np.array([seed_peak, seed_detune]),
-        np.array([seed_peak + 0.002 * simplex_scale, seed_detune]),
-        np.array([seed_peak, seed_detune + 0.004 * simplex_scale]),
+        np.array([seed_peak + 0.002, seed_detune]),
+        np.array([seed_peak, seed_detune + 0.004]),
     ]
     point, _, _ = nelder_mead_minimize(objective, simplex, diameter_tol=1e-7,
                                        value_tol=1e-10, max_iterations=nm_iterations)

@@ -40,7 +40,7 @@ from .calibration import (
     repeated_gate_scan,
 )
 from .config import ConfigError, RunConfig, load_config
-from .device import DeviceModelError
+from .device import DeviceModelError, build_hamiltonian
 from .distortion import apply_distortion, predistort
 from .metrics import nelder_mead_minimize
 from .pulses import waveform_from_csv, waveform_to_csv
@@ -375,15 +375,15 @@ def cmd_predistort(cfg: RunConfig, args) -> int:
 
 
 def cmd_compensate(cfg: RunConfig, args) -> int:
-    ctx = _context(cfg)
+    terms = build_hamiltonian(cfg.device)
     wc_idle = cfg.device.coupler.frequency
     wcs = np.linspace(wc_idle - args.span, wc_idle, args.points)
-    curve = compensation_curve(cfg.device, wcs, terms=ctx.terms)
-    ref1, ref2 = dressed_qubit_transitions(ctx.terms, wc_idle)
+    curve = compensation_curve(cfg.device, wcs, terms=terms)
+    ref1, ref2 = dressed_qubit_transitions(terms, wc_idle)
     rows = []
     for wc, dq1, dq2 in curve:
-        t1_raw, t2_raw = dressed_qubit_transitions(ctx.terms, wc)
-        t1_fix, t2_fix = dressed_qubit_transitions(ctx.terms, wc, dq1, dq2)
+        t1_raw, t2_raw = dressed_qubit_transitions(terms, wc)
+        t1_fix, t2_fix = dressed_qubit_transitions(terms, wc, dq1, dq2)
         rows.append([wc, t1_raw - ref1, t2_raw - ref2, dq1, dq2,
                      t1_fix - ref1, t2_fix - ref2])
     header = "\n".join(cfg.header_lines() + [

@@ -3,6 +3,7 @@ domain objects the commands operate on."""
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 from dataclasses import dataclass
@@ -201,12 +202,13 @@ class RunConfig:
 
 
 def _merge(base: dict, override: dict) -> dict:
-    out = dict(base)
+    """override merged into a deep copy of base; shares no container with either."""
+    out = copy.deepcopy(base)
     for k, v in override.items():
         if isinstance(v, dict) and isinstance(out.get(k), dict):
             out[k] = _merge(out[k], v)
         else:
-            out[k] = v
+            out[k] = copy.deepcopy(v)
     return out
 
 

@@ -119,27 +119,23 @@ def sample_pulse(spec: PulseShapeSpec, dt: float = DEFAULT_DT) -> SampledWavefor
 class CouplingInverter:
     """Cached inverse of g_eff(w_c) on the monotone branch above the qubits.
 
-    A dense forward table, built once per device, seeds an interpolated
-    guess that up to three Newton steps polish until the residual
-    |g_eff(w_c) - target| is below tol (GHz) for every value; a value
-    outside the table's g_eff range, or one left above tol, raises
-    PulseError.
+    A dense forward table from 0.05 GHz above the upper qubit to 60 GHz,
+    built once per device, seeds an interpolated guess that up to three
+    Newton steps polish until the residual |g_eff(w_c) - target| is below
+    tol (GHz) for every value; a value outside the table's g_eff range, or
+    one left above tol, raises PulseError.
     """
 
-    def __init__(self, device: DeviceSpec, search_range: tuple[float, float] | None = None,
-                 tol: float = 1e-9):
-        if search_range is None:
-            lo = max(device.q1.frequency, device.q2.frequency) + 0.05
-            hi = 60.0
-        else:
-            lo, hi = search_range
+    tol = 1e-9
+
+    def __init__(self, device: DeviceSpec):
+        lo = max(device.q1.frequency, device.q2.frequency) + 0.05
         self.device = device
-        self.tol = tol
         # Fine spacing near the qubits where g_eff is most curved.
         wc = np.concatenate([
-            np.arange(lo, min(lo + 2.0, hi), 5e-4),
-            np.arange(min(lo + 2.0, hi), hi, 0.05),
-            [hi],
+            np.arange(lo, lo + 2.0, 5e-4),
+            np.arange(lo + 2.0, 60.0, 0.05),
+            [60.0],
         ])
         g = effective_coupling_batch(device, wc)
         self._wc = wc

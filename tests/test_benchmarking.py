@@ -156,6 +156,16 @@ def test_xeb_pipeline_recovers_depolarizing():
     assert d["n_qubits"] == 2 and len(d["per_depth_fidelity"]) == len(run.depths)
 
 
+def test_xeb_pipeline_purity_unbiased_at_shallow_depths():
+    # The default ladder starts at depths whose outputs are not yet
+    # Porter-Thomas distributed; the purity there must not read above the
+    # circuits' own ideal speckle.
+    ideal = cz_xeb_pipeline(seed=0)
+    assert ideal.cycle_purity_fidelity == pytest.approx(1.0, abs=1e-9)
+    noisy = cz_xeb_pipeline(noise=NoiseSpec(depolarizing_per_cycle=0.0035), seed=0)
+    assert noisy.control_error >= -1e-3
+
+
 def test_xeb_pipeline_drops_degenerate_depth_one():
     run = cz_xeb_pipeline(depths=(1, 3, 5, 8), n_circuits=10, seed=0, n_qubits=1)
     assert 1 not in run.depths

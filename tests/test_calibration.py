@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -66,18 +68,57 @@ def test_compensation_curve_signs_and_residuals(device, terms):
     assert abs(curve[-1][2]) < 1e-8
 
 
-def test_gate_context_caches_compensation(gate_context):
+def test_gate_context_caches_compensation(gate_context, monkeypatch):
+    # The table is built with the context; building schedules never
+    # root-finds again.
+    def no_root_finding(*args, **kwargs):
+        raise AssertionError("build_schedule recomputed the compensation table")
+
+    monkeypatch.setattr("czsim.calibration.compensation_curve", no_root_finding)
     pulse = PulseShapeSpec("slepian", 30.0, 0.0, -0.02)
     s1 = gate_context.build_schedule(pulse)
-    table = gate_context._compensation
-    gate_context.build_schedule(pulse)
-    assert gate_context._compensation is table
+    s2 = gate_context.build_schedule(pulse)
+    assert np.array_equal(s1.qubit_offsets["Q1"].samples, s2.qubit_offsets["Q1"].samples)
     assert set(s1.qubit_offsets) == {"Q1", "Q2"}
     # Compensation tracks the pulse: offsets are ~0 at the idle endpoints
     # and positive at the peak, where the coupler dips toward the qubits.
     dq1 = s1.qubit_offsets["Q1"].samples
     assert abs(dq1[0]) < 1e-5
+    assert abs(dq1[-1]) < 1e-5
     assert dq1[len(dq1) // 2] > 1e-4
+
+
+PINNED_PEAK = -0.0217399
+PINNED_DETUNE = -0.0138206
+
+
+def test_gate_does_not_depend_on_context_history(run_config):
+    """One (pulse, detune) gives one schedule and one report, whatever the
+    context built before."""
+    pulse = replace(run_config.pulse, peak_value=PINNED_PEAK)
+    fresh = GateContext(run_config.device, dt=run_config.dt)
+    used = GateContext(run_config.device, dt=run_config.dt)
+    for peak in (-0.0257399, -0.0240):
+        used.build_schedule(replace(pulse, peak_value=peak), PINNED_DETUNE)
+    a = fresh.build_schedule(pulse, PINNED_DETUNE)
+    b = used.build_schedule(pulse, PINNED_DETUNE)
+    assert np.array_equal(a.coupler_trajectory.samples, b.coupler_trajectory.samples)
+    for mode in ("Q1", "Q2"):
+        assert np.array_equal(a.qubit_offsets[mode].samples, b.qubit_offsets[mode].samples)
+    ra = fresh.report(pulse, PINNED_DETUNE)
+    rb = used.report(pulse, PINNED_DETUNE)
+    assert np.array_equal(ra.projected_map, rb.projected_map)
+    assert ra.to_dict() == rb.to_dict()
+
+
+def test_schedule_below_compensation_table_rejected(gate_context):
+    # A square pulse at g_eff = -0.030 holds the coupler near 5.142 GHz,
+    # below the table's floor 0.1 GHz above the upper qubit.
+    pulse = PulseShapeSpec("square", 45.0, 0.0, -0.030)
+    with pytest.raises(CalibrationError, match="below the compensation table"):
+        gate_context.build_schedule(pulse)
+    with pytest.raises(CalibrationError):
+        gate_context.report(pulse)
 
 
 def test_build_schedule_q2_detune_offset(gate_context):

@@ -41,6 +41,18 @@ def test_config_hash_stable_and_sensitive(tmp_path):
     assert c.config_hash != a.config_hash
 
 
+def test_loaded_config_shares_nothing_with_defaults():
+    cfg = load_config()
+    digest = cfg.config_hash
+    cfg.raw["pulse"]["length_ns"] = 99.0
+    cfg.raw["device"]["modes"][0]["frequency"] = 1.0
+    fresh = load_config()
+    assert fresh.pulse.length == 45.0
+    assert fresh.raw["device"]["modes"][0]["frequency"] != 1.0
+    assert fresh.raw["device"]["modes"] is not DEFAULT_CONFIG["device"]["modes"]
+    assert fresh.config_hash == digest
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     with pytest.raises(ConfigError):
         load_config(_write_cfg(tmp_path, {"bogus_section": {}}))
