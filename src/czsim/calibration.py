@@ -23,6 +23,7 @@ from .device import (
 from .distortion import DistortionModel, predistort
 from .metrics import (
     GateReport,
+    computational_blocks,
     conditional_phase,
     gate_report,
     leakage_from_11,
@@ -96,6 +97,12 @@ class GateContext:
     (pulse, Q2 detune).  The table has 41 knots from 0.1 GHz above the
     upper qubit to 0.05 GHz above the idle coupler; a schedule that dips
     below it raises CalibrationError, and above it the end value holds.
+
+    `run` propagates only `blocks`, the invariant blocks that hold the
+    computational states (the N <= 2 sectors at any truncation of the
+    exchange-coupled model), since no gate metric reads the others.  Its
+    propagator is zero outside them, and its unitarity defect is measured
+    over their subspace.
     """
 
     def __init__(self, spec: DeviceSpec, dt: float = 0.05, compensate: bool = True,
@@ -104,6 +111,7 @@ class GateContext:
         self.dt = dt
         self.terms = build_hamiltonian(spec)
         self.basis = dressed_basis(self.terms)
+        self.blocks = computational_blocks(self.terms)
         self.distortion = distortion
         self.compensate = compensate
         self._inverter = CouplingInverter(spec)
@@ -143,7 +151,8 @@ class GateContext:
         return ControlSchedule(coupler_trajectory=wf, qubit_offsets=offsets)
 
     def run(self, pulse: PulseShapeSpec, q2_detune: float = 0.0) -> PropagationResult:
-        return propagate(self.terms, self.build_schedule(pulse, q2_detune), basis=self.basis)
+        return propagate(self.terms, self.build_schedule(pulse, q2_detune), basis=self.basis,
+                         blocks=self.blocks)
 
     def report(self, pulse: PulseShapeSpec, q2_detune: float = 0.0) -> GateReport:
         return gate_report(self.run(pulse, q2_detune))
@@ -303,7 +312,7 @@ def _grid_scan(ctx: GateContext, grid: ScanGrid, pulse: PulseShapeSpec, measure,
 
 def leakage_scan(ctx: GateContext, grid: ScanGrid, pulse: PulseShapeSpec) -> ScanResult:
     """Leakage from dressed |101> over (peak coupling, Q2 detune)."""
-    return _grid_scan(ctx, grid, pulse, lambda result: leakage_from_11(result)[0], "leakage")
+    return _grid_scan(ctx, grid, pulse, leakage_from_11, "leakage")
 
 
 def phase_scan(ctx: GateContext, grid: ScanGrid, pulse: PulseShapeSpec) -> ScanResult:
@@ -342,7 +351,7 @@ def repeated_gate_scan(ctx: GateContext, pulse: PulseShapeSpec, n_list,
             repeated = PropagationResult(propagator=u_n, basis=basis,
                                          unitarity_defect=result.unitarity_defect,
                                          terms=ctx.terms)
-            leak[i, j], _ = leakage_from_11(repeated)
+            leak[i, j] = leakage_from_11(repeated)
             m = project_computational(repeated)
             phi = conditional_phase(m)
             deviation[i, j] = np.degrees(wrap_angle(phi - n * np.pi))

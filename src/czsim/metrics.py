@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .device import HamiltonianTerms
 from .propagator import PropagationResult
 
 COMPUTATIONAL_LABELS = ((0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1))
@@ -82,6 +83,20 @@ def cz_target(angles: VirtualZAngles) -> np.ndarray:
     return np.diag(
         [1.0, np.exp(1j * (dp + dm)), np.exp(1j * (dp - dm)), np.exp(1j * (2.0 * dp - np.pi))]
     )
+
+
+def computational_blocks(terms: HamiltonianTerms) -> tuple[np.ndarray, ...]:
+    """The invariant blocks (`terms.blocks`) that hold the computational states.
+
+    Each dressed computational state is an eigenvector of the idle
+    Hamiltonian, so up to round-off it lies in the block that holds its
+    bare label.  Every
+    gate metric reads only these blocks: the N <= 2 excitation sectors of
+    the exchange-coupled model, or the merged blocks of a model whose
+    terms mix sectors.
+    """
+    held = {terms.bare_index(label) for label in COMPUTATIONAL_LABELS}
+    return tuple(idx for idx in terms.blocks if not held.isdisjoint(idx.tolist()))
 
 
 def project_computational(result: PropagationResult) -> np.ndarray:
@@ -203,24 +218,14 @@ def fit_virtual_z(m: np.ndarray) -> tuple[VirtualZAngles, float]:
     return VirtualZAngles(point[0], point[1]), 1.0 - value
 
 
-def leakage_from_11(result: PropagationResult) -> tuple[float, dict]:
-    """Leakage of dressed |101> out of the computational subspace.
-
-    Returns (total, per_level) with per_level the populations of the
-    dressed |2, i, 0> states, i in {0, 1, 2}.
-    """
+def leakage_from_11(result: PropagationResult) -> float:
+    """Leakage of dressed |101> out of the computational subspace."""
     basis = result.basis
     final = result.propagator @ basis.vector((1, 0, 1))
     total = 1.0
     for label in COMPUTATIONAL_LABELS:
         total -= float(np.abs(basis.vector(label).conj() @ final) ** 2)
-    total = max(total, 0.0)
-    per_level = {}
-    for i in range(3):
-        label = (2, i, 0)
-        if label in basis.labels:
-            per_level[label] = float(np.abs(basis.vector(label).conj() @ final) ** 2)
-    return total, per_level
+    return max(total, 0.0)
 
 
 def conditional_phase(m: np.ndarray) -> float:
@@ -240,12 +245,11 @@ def gate_report(result: PropagationResult) -> GateReport:
     """Project, fit virtual-Z phases, and collect all gate metrics."""
     m = project_computational(result)
     angles, fidelity = fit_virtual_z(m)
-    leakage, _ = leakage_from_11(result)
     return GateReport(
         projected_map=m,
         fitted_angles=angles,
         fidelity=fidelity,
-        leakage_from_11=leakage,
+        leakage_from_11=leakage_from_11(result),
         conditional_phase=conditional_phase(m),
         subspace_trace_loss=subspace_trace_loss(m),
     )

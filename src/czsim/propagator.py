@@ -14,7 +14,11 @@ The Hamiltonian leaves a set of subspaces invariant for any control values
 (`HamiltonianTerms.blocks`; for the exchange-coupled model these are the
 sectors of fixed total excitation number), so each step is exponentiated
 block by block over those subspaces and the blocks' time-ordered products
-are written back into the full propagator.
+are written back into the full-space propagator.  `propagate` evolves every
+block by default; given a subset of the blocks it evolves only those,
+leaving the other rows and columns zero.  Gate runs
+(`czsim.calibration.GateContext.run`) pass the blocks that hold the
+computational states, since no gate metric reads the rest.
 """
 
 from __future__ import annotations
@@ -66,29 +70,17 @@ class ControlSchedule:
 
 @dataclass(frozen=True)
 class PropagationResult:
-    """Full-space propagator in the idle rotating frame."""
+    """Propagator in the idle rotating frame, on the full space.
+
+    Rows and columns outside the propagated blocks are exactly zero, and
+    unitarity_defect is max |U^dag U - 1| over the propagated subspace
+    (the whole space when every block was propagated).
+    """
 
     propagator: np.ndarray
     basis: DressedBasis
     unitarity_defect: float
     terms: HamiltonianTerms
-
-
-def constant_offset(value: float, like: SampledWaveform) -> SampledWaveform:
-    """A constant offset waveform on the same grid as `like`."""
-    return SampledWaveform(
-        dt=like.dt,
-        samples=np.full(len(like.samples), value),
-        parameterization=like.parameterization,
-    )
-
-
-def idle_schedule(terms: HamiltonianTerms, length: float, dt: float) -> ControlSchedule:
-    """Schedule that parks the coupler at its idle frequency."""
-    n = max(int(round(length / dt)), 1) + 1
-    wf = SampledWaveform(dt=dt, samples=np.full(n, terms.spec.coupler.frequency),
-                         parameterization="coupler_frequency")
-    return ControlSchedule(coupler_trajectory=wf)
 
 
 def _magnus_nodes(samples: np.ndarray) -> np.ndarray:
@@ -150,13 +142,14 @@ def _check_step_size(terms: HamiltonianTerms, offsets: dict[str, np.ndarray], dt
         )
 
 
-def _evolve_block(terms: HamiltonianTerms, schedule: ControlSchedule, states: np.ndarray) -> np.ndarray:
-    """Apply the schedule's idle-frame propagator to the columns of `states`."""
+def _evolve_blocks(terms: HamiltonianTerms, schedule: ControlSchedule,
+                   blocks: tuple[np.ndarray, ...]) -> list[np.ndarray]:
+    """The schedule's idle-frame propagator on each of the given blocks."""
     dt = schedule.dt
     offsets = _step_offsets(terms, schedule)
     n_steps = len(schedule.coupler_trajectory.samples) - 1
     if n_steps <= 0:
-        return states.astype(complex)
+        return [np.eye(len(idx), dtype=complex) for idx in blocks]
     half_dt = 0.5 * dt
     total_t = dt * n_steps
     _check_step_size(terms, offsets, half_dt)
@@ -166,8 +159,8 @@ def _evolve_block(terms: HamiltonianTerms, schedule: ControlSchedule, states: np
     labels = sorted(offsets)
     points, index = np.unique(np.column_stack([offsets[label] for label in labels]),
                               axis=0, return_inverse=True)
-    out = np.zeros(states.shape, dtype=complex)
-    for idx in terms.blocks:
+    out = []
+    for idx in blocks:
         sub = np.ix_(idx, idx)
         h0 = terms.static_part[sub]
         h = np.broadcast_to(h0, (len(points),) + h0.shape).copy()
@@ -189,27 +182,28 @@ def _evolve_block(terms: HamiltonianTerms, schedule: ControlSchedule, states: np
         # diagonal in the dressed basis.
         evals0, evecs0 = np.linalg.eigh(h0)
         frame = (evecs0 * np.exp(1j * evals0 * total_t)) @ evecs0.conj().T
-        out[idx] = frame @ (u[0] @ states[idx])
+        out.append(frame @ u[0])
     return out
 
 
 def propagate(terms: HamiltonianTerms, schedule: ControlSchedule,
-              basis: DressedBasis | None = None) -> PropagationResult:
-    """Full-space propagator for the schedule, in the idle rotating frame."""
-    u = _evolve_block(terms, schedule, np.eye(terms.dimension))
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(terms.dimension))))
+              basis: DressedBasis | None = None,
+              blocks: tuple[np.ndarray, ...] | None = None) -> PropagationResult:
+    """Propagator for the schedule in the idle rotating frame.
+
+    `blocks` picks which of `terms.blocks` to evolve (default: all of
+    them); the rows and columns of the others are left zero, and the
+    unitarity check covers the evolved blocks only.
+    """
+    if blocks is None:
+        blocks = terms.blocks
+    u = np.zeros((terms.dimension, terms.dimension), dtype=complex)
+    defect = 0.0
+    for idx, block in zip(blocks, _evolve_blocks(terms, schedule, blocks)):
+        u[np.ix_(idx, idx)] = block
+        defect = max(defect, float(np.max(np.abs(block.conj().T @ block - np.eye(len(idx))))))
     if defect >= UNITARITY_TOLERANCE:
         raise PropagationError(f"unitarity defect {defect:.2e} exceeds {UNITARITY_TOLERANCE}")
     if basis is None:
         basis = dressed_basis(terms)
     return PropagationResult(propagator=u, basis=basis, unitarity_defect=defect, terms=terms)
-
-
-def propagate_state(terms: HamiltonianTerms, schedule: ControlSchedule,
-                    initial: np.ndarray) -> np.ndarray:
-    """Evolve a single state vector through the schedule."""
-    psi = _evolve_block(terms, schedule, np.asarray(initial, dtype=complex).reshape(-1, 1))[:, 0]
-    drift = abs(np.linalg.norm(psi) - np.linalg.norm(initial))
-    if drift >= UNITARITY_TOLERANCE:
-        raise PropagationError(f"norm drift {drift:.2e} exceeds {UNITARITY_TOLERANCE}")
-    return psi

@@ -16,7 +16,8 @@ from czsim.calibration import (
     repeated_gate_scan,
 )
 from czsim.distortion import DistortionModel
-from czsim.metrics import project_computational, wrap_angle
+from czsim.metrics import gate_report, project_computational, wrap_angle
+from czsim.propagator import propagate
 from czsim.pulses import PulseShapeSpec
 
 
@@ -109,6 +110,39 @@ def test_gate_does_not_depend_on_context_history(run_config):
     rb = used.report(pulse, PINNED_DETUNE)
     assert np.array_equal(ra.projected_map, rb.projected_map)
     assert ra.to_dict() == rb.to_dict()
+
+
+@pytest.mark.parametrize("family", ["slepian", "cosine", "square"])
+def test_gate_run_propagates_only_computational_blocks(gate_context, run_config, family):
+    pulse = replace(run_config.pulse, family=family, peak_value=PINNED_PEAK)
+    restricted = gate_context.run(pulse, PINNED_DETUNE)
+    full = propagate(gate_context.terms, gate_context.build_schedule(pulse, PINNED_DETUNE),
+                     basis=gate_context.basis)
+    u = restricted.propagator
+    kept = np.concatenate(gate_context.blocks)
+    dropped = np.setdiff1d(np.arange(gate_context.terms.dimension), kept)
+    assert not u[dropped].any() and not u[:, dropped].any()
+    sub = np.ix_(kept, kept)
+    assert np.max(np.abs(u[sub] - full.propagator[sub])) <= 1e-12
+    a, b = gate_report(restricted), gate_report(full)
+    assert np.max(np.abs(a.projected_map - b.projected_map)) <= 1e-10
+    for field in ("fidelity", "leakage_from_11", "conditional_phase", "subspace_trace_loss"):
+        assert abs(getattr(a, field) - getattr(b, field)) <= 1e-10, field
+
+
+def test_gate_run_diagonalizes_no_block_above_six_states(gate_context, run_config, monkeypatch):
+    # At 3 levels the N <= 2 sectors have 1, 3 and 6 states; the 7-state
+    # N = 3 sector must not be diagonalized for a gate.
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    gate_context.run(replace(run_config.pulse, peak_value=PINNED_PEAK), PINNED_DETUNE)
+    assert sizes and max(sizes) <= 6
 
 
 def test_schedule_below_compensation_table_rejected(gate_context):

@@ -5,16 +5,23 @@ import pytest
 from scipy.linalg import expm
 
 from czsim.device import build_hamiltonian
-from czsim.propagator import (
-    ControlSchedule,
-    PropagationError,
-    constant_offset,
-    idle_schedule,
-    propagate,
-    propagate_state,
-    refine_schedule,
-)
+from czsim.metrics import computational_blocks
+from czsim.propagator import ControlSchedule, PropagationError, propagate, refine_schedule
 from czsim.pulses import CouplingInverter, PulseShapeSpec, SampledWaveform, sample_pulse
+
+
+def _idle_schedule(terms, length, dt):
+    """Schedule that parks the coupler at its idle frequency."""
+    n = max(int(round(length / dt)), 1) + 1
+    wf = SampledWaveform(dt=dt, samples=np.full(n, terms.spec.coupler.frequency),
+                         parameterization="coupler_frequency")
+    return ControlSchedule(coupler_trajectory=wf)
+
+
+def _constant_offset(value, like):
+    """A constant offset waveform on the same grid as `like`."""
+    return SampledWaveform(dt=like.dt, samples=np.full(len(like.samples), value),
+                           parameterization=like.parameterization)
 
 
 def _gate_schedule(device, dt=0.05, length=45.0, peak=-0.02):
@@ -37,7 +44,7 @@ def test_schedule_validation(device):
 
 
 def test_idle_schedule_is_identity(terms):
-    schedule = idle_schedule(terms, length=30.0, dt=0.05)
+    schedule = _idle_schedule(terms, length=30.0, dt=0.05)
     result = propagate(terms, schedule)
     assert np.max(np.abs(result.propagator - np.eye(terms.dimension))) < 1e-10
 
@@ -81,19 +88,13 @@ def test_step_size_guard(terms):
         propagate(terms, ControlSchedule(coupler_trajectory=wild))
 
 
-def test_propagate_state_norm(device, terms, basis):
-    psi0 = basis.vector((1, 0, 1))
-    psi = propagate_state(terms, _gate_schedule(device), psi0)
-    assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-9)
-
-
 def test_qubit_offsets_shift_phase(device, terms):
     # A constant qubit offset should imprint a linear phase on that qubit's
     # excited dressed state: U|100> ~ e^{-i 2 pi dw T}|100> for small dw.
-    schedule = idle_schedule(terms, length=20.0, dt=0.05)
+    schedule = _idle_schedule(terms, length=20.0, dt=0.05)
     dw = 0.01
-    offsets = {"Q1": constant_offset(dw, schedule.coupler_trajectory),
-               "Q2": constant_offset(0.0, schedule.coupler_trajectory)}
+    offsets = {"Q1": _constant_offset(dw, schedule.coupler_trajectory),
+               "Q2": _constant_offset(0.0, schedule.coupler_trajectory)}
     shifted = ControlSchedule(schedule.coupler_trajectory, offsets)
     result = propagate(terms, shifted)
     basis = result.basis
@@ -151,18 +152,60 @@ def test_propagator_block_diagonal_and_matches_dense(device, terms):
     assert np.max(np.abs(u - _dense_reference(terms, schedule))) < 1e-10
 
 
-def test_sector_mixing_terms_merge_blocks(device, terms):
-    # Counter-rotating Q1-C coupling changes excitation number by two, so
-    # only its parity is conserved and the sectors merge into larger blocks.
+def _counter_rotating_model(device, terms):
+    """terms plus a counter-rotating Q1-C coupling, which changes excitation
+    number by two, so only its parity is conserved."""
     d1, dc, d2 = device.dims()
     a1 = np.kron(np.kron(np.diag(np.sqrt(np.arange(1, d1)), 1), np.eye(dc)), np.eye(d2))
     ac = np.kron(np.kron(np.eye(d1), np.diag(np.sqrt(np.arange(1, dc)), 1)), np.eye(d2))
     counter = 2.0 * np.pi * device.couplings.g_1c * (a1.T @ ac.T + ac @ a1)
-    mixed = replace(terms, static_part=terms.static_part + counter)
+    return replace(terms, static_part=terms.static_part + counter)
+
+
+def test_sector_mixing_terms_merge_blocks(device, terms):
+    # Only the parity of the excitation number is conserved, so the sectors
+    # merge into larger blocks.
+    mixed = _counter_rotating_model(device, terms)
     parity = _excitation_numbers(mixed) % 2
     assert len(mixed.blocks) == 2
     for idx in mixed.blocks:
         assert np.all(parity[idx] == parity[idx[0]])
     schedule = _short_schedule(device)
     u = propagate(mixed, schedule).propagator
+    assert np.max(np.abs(u - _dense_reference(mixed, schedule))) < 1e-10
+
+
+@pytest.mark.parametrize("levels", [3, 4])
+def test_computational_blocks_are_the_low_sectors(device, levels):
+    terms = build_hamiltonian(device.with_levels(levels))
+    n_exc = _excitation_numbers(terms)
+    selected = computational_blocks(terms)
+    assert sorted(int(n_exc[idx[0]]) for idx in selected) == [0, 1, 2]
+    assert sum(len(idx) for idx in selected) == 10
+
+
+def test_restricted_propagator_matches_dense_on_its_blocks(device, terms):
+    schedule = _short_schedule(device)
+    selected = computational_blocks(terms)
+    result = propagate(terms, schedule, blocks=selected)
+    u = result.propagator
+    kept = np.concatenate(selected)
+    dropped = np.setdiff1d(np.arange(terms.dimension), kept)
+    assert not u[dropped].any() and not u[:, dropped].any()
+    sub = np.ix_(kept, kept)
+    assert np.max(np.abs(u[sub] - _dense_reference(terms, schedule)[sub])) < 1e-10
+    # The defect is taken over the propagated subspace; over the full space
+    # the zero columns would read 1.
+    assert result.unitarity_defect < 1e-9
+    assert np.max(np.abs(u.conj().T @ u - np.eye(terms.dimension))) == 1.0
+
+
+def test_sector_mixing_model_propagates_its_parity_blocks(device, terms):
+    # |000>, |101> are even and |001>, |100> odd, so both parity blocks
+    # hold computational states and a gate run must propagate both.
+    mixed = _counter_rotating_model(device, terms)
+    selected = computational_blocks(mixed)
+    assert sorted(map(tuple, selected)) == sorted(map(tuple, mixed.blocks))
+    schedule = _short_schedule(device)
+    u = propagate(mixed, schedule, blocks=selected).propagator
     assert np.max(np.abs(u - _dense_reference(mixed, schedule))) < 1e-10
