@@ -24,6 +24,7 @@ from .distortion import DistortionModel, predistort
 from .metrics import (
     GateReport,
     computational_blocks,
+    computational_vectors,
     conditional_phase,
     gate_report,
     leakage_from_11,
@@ -299,12 +300,13 @@ def calibrated_length_sweep(ctx: GateContext, pulse: PulseShapeSpec, lengths,
 
 def _grid_scan(ctx: GateContext, grid: ScanGrid, pulse: PulseShapeSpec, measure,
                kind: str) -> ScanResult:
-    """measure(result) at every (peak coupling, Q2 detune) point of the grid."""
+    """measure(M) of the projected map at every (peak coupling, Q2 detune) point."""
     values = np.zeros((len(grid.coupling_axis), len(grid.detune_axis)))
     for i, peak in enumerate(grid.coupling_axis):
         for j, det in enumerate(grid.detune_axis):
             try:
-                values[i, j] = measure(ctx.run(replace(pulse, peak_value=peak), det))
+                m = project_computational(ctx.run(replace(pulse, peak_value=peak), det))
+                values[i, j] = measure(m)
             except (ValueError, DeviceModelError) as exc:
                 raise CalibrationError(f"scan failed at (g={peak}, detune={det}): {exc}") from exc
     return ScanResult(grid=grid, values=values, kind=kind)
@@ -317,9 +319,7 @@ def leakage_scan(ctx: GateContext, grid: ScanGrid, pulse: PulseShapeSpec) -> Sca
 
 def phase_scan(ctx: GateContext, grid: ScanGrid, pulse: PulseShapeSpec) -> ScanResult:
     """Conditional phase (degrees) over (peak coupling, Q2 detune)."""
-    return _grid_scan(ctx, grid, pulse,
-                      lambda result: np.degrees(conditional_phase(project_computational(result))),
-                      "phase_deg")
+    return _grid_scan(ctx, grid, pulse, lambda m: np.degrees(conditional_phase(m)), "phase_deg")
 
 
 def repeated_gate_scan(ctx: GateContext, pulse: PulseShapeSpec, n_list,
@@ -336,7 +336,7 @@ def repeated_gate_scan(ctx: GateContext, pulse: PulseShapeSpec, n_list,
     n_list = [int(n) for n in n_list]
     leak = np.zeros((len(axis_values), len(n_list)))
     deviation = np.zeros_like(leak)
-    basis = ctx.basis
+    v = computational_vectors(ctx.basis)
     for i, value in enumerate(axis_values):
         if axis == "coupling":
             result = ctx.run(replace(pulse, peak_value=value), q2_detune)
@@ -348,13 +348,9 @@ def repeated_gate_scan(ctx: GateContext, pulse: PulseShapeSpec, n_list,
         for j, n in enumerate(sorted(n_list)):
             u_n = u_n @ np.linalg.matrix_power(u, n - applied)
             applied = n
-            repeated = PropagationResult(propagator=u_n, basis=basis,
-                                         unitarity_defect=result.unitarity_defect,
-                                         terms=ctx.terms)
-            leak[i, j] = leakage_from_11(repeated)
-            m = project_computational(repeated)
-            phi = conditional_phase(m)
-            deviation[i, j] = np.degrees(wrap_angle(phi - n * np.pi))
+            m = v.conj().T @ u_n @ v
+            leak[i, j] = leakage_from_11(m)
+            deviation[i, j] = np.degrees(wrap_angle(conditional_phase(m) - n * np.pi))
     grid = ScanGrid(
         coupling_axis=tuple(axis_values) if axis == "coupling" else (),
         detune_axis=tuple(axis_values) if axis == "detune" else (),
@@ -371,27 +367,18 @@ def _half_pi_y(sign: float = 1.0) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def ramsey_conditional_phase(ctx_or_map, pulse: PulseShapeSpec | None = None,
-                             q2_detune: float = 0.0, sample_shots: int | None = 10_000,
+def ramsey_conditional_phase(m: np.ndarray, sample_shots: int | None = 10_000,
                              seed: int = 0, n_phases: int = 24,
                              readout_confusion: dict | None = None) -> float:
-    """Emulated Ramsey-type conditional-phase measurement (radians).
+    """Emulated Ramsey-type conditional-phase measurement (radians) of a 4x4 map.
 
     Prepare Q2 in a superposition, optionally excite Q1, apply the gate,
     sweep an analysis phase before the second pi/2 pulse, and fit the Q2
     excited-state fringe.  The conditional phase is the fringe phase with
     Q1 excited minus the phase with Q1 in the ground state.
-
-    ctx_or_map is either a GateContext (the gate map is computed from the
-    calibrated schedule) or a 4x4 computational map directly.
     sample_shots=None gives the infinite-shot limit.
     """
-    if isinstance(ctx_or_map, GateContext):
-        if pulse is None:
-            raise CalibrationError("a pulse is required with a GateContext")
-        m = project_computational(ctx_or_map.run(pulse, q2_detune))
-    else:
-        m = np.asarray(ctx_or_map, dtype=complex)
+    m = np.asarray(m, dtype=complex)
     if sample_shots is not None and sample_shots < 100:
         raise CalibrationError("need at least 100 shots per phase point")
 

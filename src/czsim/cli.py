@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import os
 import sys
@@ -91,9 +92,12 @@ def _write_json(path: Path, cfg: RunConfig, payload: dict) -> None:
         f.write("\n")
 
 
+_gate_context = functools.cache(GateContext)
+
+
 def _context(cfg: RunConfig) -> GateContext:
-    return GateContext(cfg.device, dt=cfg.dt, compensate=cfg.compensate,
-                       distortion=cfg.distortion)
+    """The process's one GateContext per (device, dt, compensate, distortion)."""
+    return _gate_context(cfg.device, cfg.dt, cfg.compensate, cfg.distortion)
 
 
 def _calibrated(cfg: RunConfig, ctx: GateContext, pulse):

@@ -236,7 +236,11 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
         jsonschema.validate(raw, CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"invalid config: {exc.message} (at {'/'.join(map(str, exc.path))})") from exc
-    return _materialize(raw)
+    # The domain objects refuse values the schema lets through (a negative frequency, ...).
+    try:
+        return _materialize(raw)
+    except ValueError as exc:
+        raise ConfigError(f"invalid config: {exc}") from exc
 
 
 def _materialize(raw: dict) -> RunConfig:

@@ -321,17 +321,14 @@ def effective_coupling_batch(spec: DeviceSpec, coupler_frequencies: np.ndarray) 
     return np.where(ambiguous, np.where(perturbative >= 0, magnitude, -magnitude), signed)
 
 
-def zero_coupling_point(spec: DeviceSpec, search_range: tuple[float, float] | None = None) -> float:
+def zero_coupling_point(spec: DeviceSpec) -> float:
     """Coupler frequency above the qubits where g_eff crosses zero (GHz).
 
-    Bisection to |g_eff| < 1e-6 GHz; raises if g_eff does not change sign
-    on the search interval.
+    Bisection to |g_eff| < 1e-6 GHz on [upper qubit + 0.2, 20] GHz; raises
+    if g_eff does not change sign there.
     """
-    if search_range is None:
-        lo = max(spec.q1.frequency, spec.q2.frequency) + 0.2
-        hi = 20.0
-    else:
-        lo, hi = search_range
+    lo = max(spec.q1.frequency, spec.q2.frequency) + 0.2
+    hi = 20.0
     f_lo = effective_coupling(spec, lo)
     f_hi = effective_coupling(spec, hi)
     if f_lo == 0.0:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import czsim.calibration
 from czsim.cli import _parse_lengths, build_parser, default_workers, main
 from czsim.config import (
     CONFIG_VERSION,
@@ -136,6 +137,45 @@ def test_cli_removed_config_keys_exit_2(tmp_path, capsys, section):
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["kind"] == "invalid_config"
+
+
+@pytest.mark.parametrize("section", [
+    {"device": {"couplings": {"g_12": 0.0}}},
+    {"device": {"modes": [
+        {"label": "Q1", "frequency": -5.0, "anharmonicity": -0.235},
+        {"label": "C", "frequency": 7.0, "anharmonicity": -0.100},
+        {"label": "Q2", "frequency": 4.889, "anharmonicity": -0.235},
+    ]}},
+    {"distortion": {"settling_terms": [{"amplitude": -1.0, "time_constant_ns": 10.0}]}},
+], ids=["no_zero_coupling_point", "negative_frequency", "singular_distortion"])
+def test_cli_config_refused_by_domain_objects_exit_2(tmp_path, capsys, section):
+    # Each passes the schema but is refused when the device, mode or
+    # distortion model is built.
+    path = _write_cfg(tmp_path, section)
+    rc = main(["compensate", "--config", str(path), "--output-dir", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["kind"] == "invalid_config"
+
+
+def test_cli_builds_one_gate_context_per_process(tmp_path, monkeypatch):
+    built = []
+    curve = czsim.calibration.compensation_curve
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return curve(*args, **kwargs)
+
+    monkeypatch.setattr(czsim.calibration, "compensation_curve", counted)
+    # A dt no other test uses, so the first run here builds the context.
+    path = _write_cfg(tmp_path, {"solver": {"dt_ns": 0.0625}})
+    for run in ("a", "b"):
+        rc = main(["gate", "--config", str(path), "--peak", "-0.0217399",
+                   "--detune", "-0.0138206", "--output-dir", str(tmp_path / run)])
+        assert rc == 0
+    assert len(built) == 1
+    assert (tmp_path / "a" / "gate_report.json").read_text() \
+        == (tmp_path / "b" / "gate_report.json").read_text()
 
 
 def test_default_workers_counts_usable_cpus(monkeypatch):

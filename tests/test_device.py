@@ -128,8 +128,11 @@ def test_zero_coupling_point(device):
     zcp = zero_coupling_point(device)
     assert zcp == pytest.approx(6.327, abs=5e-3)
     assert abs(effective_coupling(device, zcp)) < 1e-6
-    with pytest.raises(DeviceModelError):
-        zero_coupling_point(device, search_range=(8.0, 12.0))
+    # Without a direct coupling g_eff stays negative above the qubits.
+    g = device.couplings
+    no_direct = DeviceSpec(device.modes, CouplingGraph(g_1c=g.g_1c, g_2c=g.g_2c, g_12=0.0))
+    with pytest.raises(DeviceModelError, match=r"does not change sign on \[5\.277, 20\.0\] GHz"):
+        zero_coupling_point(no_direct)
 
 
 def test_with_frequencies_and_levels(device):

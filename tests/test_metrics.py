@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from czsim.metrics import (
     GateMetricsError,
@@ -9,8 +12,8 @@ from czsim.metrics import (
     average_gate_fidelity,
     conditional_phase,
     cz_target,
-    default_simplex,
     fit_virtual_z,
+    leakage_from_11,
     nelder_mead_minimize,
     project_computational,
     subspace_trace_loss,
@@ -64,7 +67,7 @@ def test_subspace_trace_loss():
 def test_nelder_mead_quadratic():
     point, value, converged = nelder_mead_minimize(
         lambda x: (x[0] - 1.0) ** 2 + 2.0 * (x[1] + 0.5) ** 2,
-        default_simplex([0.0, 0.0]),
+        [np.zeros(2), np.array([0.25, 0.0]), np.array([0.0, 0.25])],
     )
     assert converged
     assert point[0] == pytest.approx(1.0, abs=1e-4)
@@ -76,8 +79,8 @@ def test_nelder_mead_rosenbrock():
     def rosen(x):
         return (1 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
 
-    point, value, _ = nelder_mead_minimize(rosen, default_simplex([-1.2, 1.0]),
-                                           diameter_tol=1e-12, value_tol=1e-14)
+    simplex = [np.array([-1.2, 1.0]), np.array([-0.95, 1.0]), np.array([-1.2, 1.25])]
+    point, value, _ = nelder_mead_minimize(rosen, simplex, diameter_tol=1e-12, value_tol=1e-14)
     assert np.allclose(point, [1.0, 1.0], atol=1e-4)
 
 
@@ -85,7 +88,7 @@ def test_nelder_mead_bad_simplex():
     with pytest.raises(ValueError):
         nelder_mead_minimize(lambda x: x[0] ** 2, [np.zeros(2), np.ones(2)])
     with pytest.raises(ValueError):
-        nelder_mead_minimize(lambda x: np.inf, default_simplex([0.0]))
+        nelder_mead_minimize(lambda x: np.inf, [np.zeros(1), np.array([0.25])])
 
 
 @given(
@@ -104,6 +107,81 @@ def test_fit_virtual_z_recovers_exact_member(dp, dm):
     shifted = (abs(wrap_angle(err_p - np.pi)) < 1e-4
                and abs(wrap_angle(err_m - np.pi)) < 1e-4)
     assert same or shifted
+
+
+def _brute_force_cz_fidelity(m):
+    """Best fidelity of M against the CZ family by a dense (D+, D-) grid
+    and a local polish from each of the grid's five best local maxima."""
+    m = np.asarray(m)
+
+    def overlap(dp, dm):
+        return np.abs(m[0, 0] + m[1, 1] * np.exp(-1j * (dp + dm))
+                      + m[2, 2] * np.exp(-1j * (dp - dm)) - m[3, 3] * np.exp(-2j * dp))
+
+    axis = np.linspace(-np.pi, np.pi, 181, endpoint=False)
+    grid = overlap(axis[:, None], axis[None, :])
+    neighbours = [np.roll(grid, shift, axis=ax) for ax in (0, 1) for shift in (1, -1)]
+    peaks = np.flatnonzero(np.all([grid >= n for n in neighbours], axis=0))
+    best = float(grid.max())
+    for k in peaks[np.argsort(grid.ravel()[peaks])[::-1][:5]]:
+        i, j = np.unravel_index(k, grid.shape)
+        polish = minimize(lambda x: -overlap(x[0], x[1]), [axis[i], axis[j]],
+                          method="Nelder-Mead",
+                          options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 2000})
+        best = max(best, -polish.fun)
+    return (np.real(np.trace(m.conj().T @ m)) + best ** 2) / 20.0
+
+
+def _fit_test_maps():
+    rng = np.random.default_rng(11)
+    maps = []
+    for _ in range(100):   # random unitaries
+        q, r = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        maps.append(q * (np.diag(r) / np.abs(np.diag(r))))
+    for _ in range(100):   # leaky diagonal maps
+        maps.append(np.diag(rng.uniform(0.3, 1.0, 4) * np.exp(1j * rng.uniform(-np.pi, np.pi, 4))))
+    for _ in range(100):   # CZ-family members with a perturbation
+        target = cz_target(VirtualZAngles(*rng.uniform(-np.pi, np.pi, 2)))
+        scale = rng.choice([0.01, 0.1, 0.5])
+        maps.append(target + scale * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))))
+    return maps
+
+
+def _check_fit_is_global(m):
+    angles, fidelity = fit_virtual_z(m)
+    assert fidelity == pytest.approx(average_gate_fidelity(m, cz_target(angles)), abs=1e-15)
+    assert fidelity >= _brute_force_cz_fidelity(m) - 1e-12
+
+
+def test_fit_virtual_z_is_global_on_random_maps():
+    for m in _fit_test_maps():
+        _check_fit_is_global(m)
+
+
+def test_fit_virtual_z_is_global_on_square_coarse_grid(gate_context, run_config):
+    # The coarse grid that seeds the calibration of the 50 ns square gate.
+    pulse = replace(run_config.pulse, family="square", length=50.0)
+    usable = 0
+    for peak in np.linspace(-0.030, -0.010, 11):
+        for detune in np.linspace(-0.050, -0.005, 10):
+            try:
+                m = project_computational(gate_context.run(replace(pulse, peak_value=peak), detune))
+            except ValueError:
+                continue
+            usable += 1
+            _check_fit_is_global(m)
+    assert usable >= 80
+
+
+def test_leakage_from_map_matches_state_overlaps(gate_context, run_config):
+    result = gate_context.run(replace(run_config.pulse, peak_value=-0.0217399), -0.0138206)
+    basis = result.basis
+    final = result.propagator @ basis.vector((1, 0, 1))
+    direct = 1.0 - sum(abs(basis.vector(label).conj() @ final) ** 2
+                       for label in ((0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1)))
+    leakage = leakage_from_11(project_computational(result))
+    assert leakage == pytest.approx(direct, abs=1e-15)
+    assert 1e-7 < leakage < 1e-4
 
 
 def test_conditional_phase_of_target_family():
