@@ -208,8 +208,10 @@ def calibrate_cz(ctx: GateContext, pulse: PulseShapeSpec,
                  nm_iterations: int = 200) -> tuple[PulseShapeSpec, float, GateReport]:
     """Locate the CZ operating point (peak coupling, Q2 detune) for a pulse.
 
-    A coarse grid seeds a Nelder-Mead polish of 1 - fidelity over the two
-    knobs.  Returns the calibrated pulse, the Q2 detune, and the report.
+    A coarse grid seeds scipy's Nelder-Mead on 1 - fidelity over the two
+    knobs (start steps 0.002 and 0.004 GHz), which stops when its values
+    spread by at most 1e-10 or after nm_iterations updates.  Returns the
+    calibrated pulse, the Q2 detune, and the report.
     """
     if seed_peak is None or seed_detune is None:
         best = None
@@ -234,12 +236,7 @@ def calibrate_cz(ctx: GateContext, pulse: PulseShapeSpec,
             return 1.0
         return 1.0 - rep.fidelity
 
-    simplex = [
-        np.array([seed_peak, seed_detune]),
-        np.array([seed_peak + 0.002, seed_detune]),
-        np.array([seed_peak, seed_detune + 0.004]),
-    ]
-    point, _, _ = nelder_mead_minimize(objective, simplex, diameter_tol=1e-7,
+    point, _, _ = nelder_mead_minimize(objective, [seed_peak, seed_detune], [0.002, 0.004],
                                        value_tol=1e-10, max_iterations=nm_iterations)
     calibrated = replace(pulse, peak_value=float(point[0]))
     report = ctx.report(calibrated, float(point[1]))
@@ -334,6 +331,8 @@ def repeated_gate_scan(ctx: GateContext, pulse: PulseShapeSpec, n_list,
     if axis not in ("coupling", "detune"):
         raise CalibrationError(f"unknown scan axis {axis!r}")
     n_list = [int(n) for n in n_list]
+    if not n_list or n_list[0] < 1 or np.any(np.diff(n_list) <= 0):
+        raise CalibrationError(f"gate counts must be strictly increasing and >= 1: {n_list}")
     leak = np.zeros((len(axis_values), len(n_list)))
     deviation = np.zeros_like(leak)
     v = computational_vectors(ctx.basis)
@@ -345,7 +344,7 @@ def repeated_gate_scan(ctx: GateContext, pulse: PulseShapeSpec, n_list,
         u = result.propagator
         u_n = np.eye(u.shape[0], dtype=complex)
         applied = 0
-        for j, n in enumerate(sorted(n_list)):
+        for j, n in enumerate(n_list):
             u_n = u_n @ np.linalg.matrix_power(u, n - applied)
             applied = n
             m = v.conj().T @ u_n @ v

@@ -67,7 +67,10 @@ def default_workers() -> int:
     """CZSIM_THREADS if set, else the number of CPUs this process may run on."""
     env = os.environ.get("CZSIM_THREADS")
     if env:
-        return max(int(env), 1)
+        try:
+            return max(int(env), 1)
+        except ValueError:
+            raise UsageError(f"CZSIM_THREADS must be an integer, not {env!r}") from None
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity (macOS, Windows)
@@ -179,11 +182,12 @@ def _parse_lengths(text: str) -> np.ndarray:
 
 
 def _sweep_fig2b(cfg: RunConfig, args, out: Path) -> None:
+    workers = default_workers() if args.workers is None else args.workers
     lengths = _parse_lengths(args.lengths or "20:80:5")
     families = ("square", "slepian", "cosine")
     tasks = [(cfg, family, list(map(float, lengths)), args.calibration_length)
              for family in families]
-    curves = parallel_map(_fig2b_family, tasks, args.workers)
+    curves = parallel_map(_fig2b_family, tasks, workers)
     columns = dict(zip(families, curves))
     table = np.column_stack([lengths] + [columns[f] for f in families])
     header = "\n".join(cfg.header_lines() + ["columns=length_ns," + ",".join(families)])
@@ -272,14 +276,8 @@ def cmd_optimize(cfg: RunConfig, args) -> int:
         except (ValueError, DeviceModelError):
             return 1.0
 
-    simplex = [np.asarray(x0, dtype=float)]
-    for k, s in enumerate(steps):
-        vertex = np.asarray(x0, dtype=float)
-        vertex[k] += s
-        simplex.append(vertex)
     point, value, converged = nelder_mead_minimize(
-        objective, simplex, diameter_tol=1e-6, value_tol=1e-12,
-        max_iterations=args.max_iterations)
+        objective, x0, steps, value_tol=1e-12, max_iterations=args.max_iterations)
     if value >= 1.0:
         raise UsageError("bounds exclude any viable pulse", kind="no_viable_pulse")
 
@@ -431,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calibration-length", type=float, default=45.0)
     p.add_argument("--grid-points", type=int, default=17)
     p.add_argument("--max-gates", type=int, default=15)
-    p.add_argument("--workers", type=int, default=default_workers())
+    p.add_argument("--workers", type=int, help="fig2b processes (default: CZSIM_THREADS or CPUs)")
 
     p = add("optimize", cmd_optimize, help="optimize pulse parameters for fidelity")
     p.add_argument("--shape", choices=("square", "slepian", "cosine"))

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize, minimize_scalar
 
 from .device import DressedBasis, HamiltonianTerms
 from .propagator import PropagationResult
@@ -132,67 +132,30 @@ def subspace_trace_loss(m: np.ndarray) -> float:
     return float(1.0 - np.real(np.trace(np.asarray(m).conj().T @ m)) / 4.0)
 
 
-def nelder_mead_minimize(objective, initial_simplex, diameter_tol=1e-10,
-                         value_tol=1e-12, max_iterations=None):
-    """Nelder-Mead simplex minimization.
+def nelder_mead_minimize(objective, x0, steps, value_tol=1e-12, max_iterations=1000):
+    """Minimize `objective` with scipy's Nelder-Mead from the simplex x0, x0 + steps[i] e_i.
 
-    Standard coefficients: reflection 1, expansion 2, contraction 0.5,
-    shrink 0.5.  Terminates when the simplex diameter < diameter_tol, the
-    value spread < value_tol, or after 500*dim iterations (returning the
-    best point with converged=False).
-
-    Returns (point, value, converged).
+    Stops when the simplex's values spread by at most value_tol, or after
+    max_iterations updates, returning the best vertex with converged=False.
+    A value that is not finite raises ValueError.  Returns (point, value,
+    converged).
     """
-    simplex = [np.asarray(p, dtype=float).copy() for p in initial_simplex]
-    dim = len(simplex[0])
-    if len(simplex) != dim + 1:
-        raise ValueError("initial simplex needs dim+1 points")
-    values = [float(objective(p)) for p in simplex]
-    if not all(np.isfinite(values)):
-        raise ValueError("objective not finite on the initial simplex")
-    if max_iterations is None:
-        max_iterations = 500 * dim
+    x0 = np.asarray(x0, dtype=float)
+    steps = np.asarray(steps, dtype=float)
+    if steps.shape != x0.shape or x0.ndim != 1:
+        raise ValueError(f"need one step per coordinate: x0 {x0.shape}, steps {steps.shape}")
 
-    converged = False
-    for _ in range(max_iterations):
-        order = np.argsort(values)
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
+    def finite(x):
+        value = float(objective(x))
+        if not np.isfinite(value):
+            raise ValueError(f"objective is not finite: {value} at {x}")
+        return value
 
-        diameter = max(np.linalg.norm(p - simplex[0]) for p in simplex[1:])
-        if diameter < diameter_tol or values[-1] - values[0] < value_tol:
-            converged = True
-            break
-
-        centroid = np.mean(simplex[:-1], axis=0)
-        reflected = centroid + (centroid - simplex[-1])
-        f_r = float(objective(reflected))
-        if f_r < values[0]:
-            expanded = centroid + 2.0 * (centroid - simplex[-1])
-            f_e = float(objective(expanded))
-            if f_e < f_r:
-                simplex[-1], values[-1] = expanded, f_e
-            else:
-                simplex[-1], values[-1] = reflected, f_r
-        elif f_r < values[-2]:
-            simplex[-1], values[-1] = reflected, f_r
-        else:
-            if f_r < values[-1]:
-                contracted = centroid + 0.5 * (reflected - centroid)
-                f_c = float(objective(contracted))
-            else:
-                contracted = centroid + 0.5 * (simplex[-1] - centroid)
-                f_c = float(objective(contracted))
-            if f_c < min(f_r, values[-1]):
-                simplex[-1], values[-1] = contracted, f_c
-            else:
-                best = simplex[0]
-                for i in range(1, dim + 1):
-                    simplex[i] = best + 0.5 * (simplex[i] - best)
-                    values[i] = float(objective(simplex[i]))
-
-    i_best = int(np.argmin(values))
-    return simplex[i_best], values[i_best], converged
+    # scipy counts scoring the start simplex as its first iteration.
+    result = minimize(finite, x0, method="Nelder-Mead", options={
+        "initial_simplex": np.vstack([x0, x0 + np.diag(steps)]),
+        "xatol": np.inf, "fatol": value_tol, "maxiter": max_iterations + 1})
+    return result.x, float(result.fun), result.status == 0
 
 
 def fit_virtual_z(m: np.ndarray) -> tuple[VirtualZAngles, float]:

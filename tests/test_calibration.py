@@ -222,6 +222,14 @@ def test_repeated_gate_scan_shapes_and_growth(gate_context, calibrated_gate):
         repeated_gate_scan(gate_context, pulse, [1], axis, axis="bogus")
 
 
+@pytest.mark.parametrize("n_list", [[5, 1], [1, 3, 3], [0, 1], []])
+def test_repeated_gate_scan_rejects_unordered_counts(gate_context, run_config, n_list):
+    # Columns are labelled in the caller's order, so a count list the scan
+    # would have to reorder, or one holding N < 1, is refused.
+    with pytest.raises(CalibrationError, match="strictly increasing"):
+        repeated_gate_scan(gate_context, run_config.pulse, n_list, [-0.0217], q2_detune=-0.0138)
+
+
 def test_ramsey_matches_unitary_phase(calibrated_gate):
     _, _, report = calibrated_gate
     phi_unitary = report.conditional_phase

@@ -186,6 +186,21 @@ def test_default_workers_counts_usable_cpus(monkeypatch):
     assert default_workers() == 3
 
 
+def test_cli_malformed_threads_fails_only_the_sweep(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CZSIM_THREADS", "abc")
+    path = _write_cfg(tmp_path)
+    rc = main(["compensate", "--config", str(path), "--output-dir", str(tmp_path / "c"),
+               "--points", "3"])
+    assert rc == 0
+    capsys.readouterr()
+    rc = main(["sweep", "--config", str(path), "--output-dir", str(tmp_path / "s"),
+               "--figure", "fig2b", "--lengths", "45:45:5"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["kind"] == "usage"
+    assert "CZSIM_THREADS" in err["error"]["message"]
+
+
 def test_cli_sweep_requires_figure(tmp_path, capsys):
     path = _write_cfg(tmp_path)
     rc = main(["sweep", "--config", str(path), "--output-dir", str(tmp_path)])

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -64,31 +65,61 @@ def test_subspace_trace_loss():
     assert subspace_trace_loss(np.sqrt(0.5) * np.eye(4)) == pytest.approx(0.5)
 
 
+def _counted(f):
+    calls = []
+
+    def g(x):
+        calls.append(np.array(x))
+        return f(x)
+    return g, calls
+
+
+def _rosen(x):
+    return (1 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
+
+
 def test_nelder_mead_quadratic():
-    point, value, converged = nelder_mead_minimize(
-        lambda x: (x[0] - 1.0) ** 2 + 2.0 * (x[1] + 0.5) ** 2,
-        [np.zeros(2), np.array([0.25, 0.0]), np.array([0.0, 0.25])],
-    )
+    f, calls = _counted(lambda x: (x[0] - 1.0) ** 2 + 2.0 * (x[1] + 0.5) ** 2)
+    point, value, converged = nelder_mead_minimize(f, [0.0, 0.0], [0.25, 0.25])
     assert converged
     assert point[0] == pytest.approx(1.0, abs=1e-4)
     assert point[1] == pytest.approx(-0.5, abs=1e-4)
     assert value < 1e-8
+    # The call counts here pin the search's path, which sets how many gates
+    # every calibration evaluates.
+    assert len(calls) == 89
 
 
 def test_nelder_mead_rosenbrock():
-    def rosen(x):
-        return (1 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
+    f, calls = _counted(_rosen)
+    point, value, converged = nelder_mead_minimize(f, [-1.2, 1.0], [0.25, 0.25],
+                                                   value_tol=1e-14)
+    assert converged
+    assert len(calls) == 201
+    assert np.allclose(point, [0.9999999271516, 0.9999998511898], rtol=0, atol=1e-12)
+    # The start simplex is x0 and x0 + steps[i] e_i.
+    assert np.array_equal(np.array(calls[:3]), [[-1.2, 1.0], [-0.95, 1.0], [-1.2, 1.25]])
 
-    simplex = [np.array([-1.2, 1.0]), np.array([-0.95, 1.0]), np.array([-1.2, 1.25])]
-    point, value, _ = nelder_mead_minimize(rosen, simplex, diameter_tol=1e-12, value_tol=1e-14)
-    assert np.allclose(point, [1.0, 1.0], atol=1e-4)
+
+def test_nelder_mead_iteration_cap():
+    f, calls = _counted(_rosen)
+    point, value, converged = nelder_mead_minimize(f, [-1.2, 1.0], [0.25, 0.25],
+                                                   value_tol=1e-14, max_iterations=30)
+    assert not converged
+    assert len(calls) == 58
+    assert value == _rosen(point) == min(_rosen(x) for x in calls)
 
 
 def test_nelder_mead_bad_simplex():
-    with pytest.raises(ValueError):
-        nelder_mead_minimize(lambda x: x[0] ** 2, [np.zeros(2), np.ones(2)])
-    with pytest.raises(ValueError):
-        nelder_mead_minimize(lambda x: np.inf, [np.zeros(1), np.array([0.25])])
+    with pytest.raises(ValueError, match="one step per coordinate"):
+        nelder_mead_minimize(lambda x: x[0] ** 2, np.zeros(2), [0.25])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            nelder_mead_minimize(lambda x: np.inf, np.zeros(1), [0.25])
+        with pytest.raises(ValueError, match="not finite: nan"):
+            nelder_mead_minimize(lambda x: np.nan if x[0] > 0.1 else x[0] ** 2,
+                                 np.zeros(1), [0.25])
 
 
 @given(
