@@ -9,7 +9,6 @@ readout confusion applied to the outcome probabilities.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +51,8 @@ class NoiseSpec:
             raise BenchmarkingError(f"depolarizing probability {p} outside [0, 1]")
         for q, c in self.readout_confusion.items():
             c = np.asarray(c, dtype=float)
-            if c.shape != (2, 2) or not np.allclose(c.sum(axis=0), 1.0, atol=1e-12):
+            if c.shape != (2, 2) or np.any((c < 0) | (c > 1)) \
+                    or not np.allclose(c.sum(axis=0), 1.0, atol=1e-12):
                 raise BenchmarkingError(f"confusion matrix for qubit {q} is not column-stochastic")
             object.__setattr__(self, "readout_confusion",
                                {**self.readout_confusion, q: c})
@@ -60,6 +60,9 @@ class NoiseSpec:
     @classmethod
     def from_fidelities(cls, depolarizing_per_cycle: float,
                         f00: dict[int, float], f11: dict[int, float]) -> "NoiseSpec":
+        if f00.keys() != f11.keys():
+            raise BenchmarkingError(f"readout f00 covers qubits {sorted(f00)} "
+                                    f"but f11 covers {sorted(f11)}")
         confusion = {
             q: np.array([[f00[q], 1.0 - f11[q]], [1.0 - f00[q], f11[q]]])
             for q in f00
@@ -271,9 +274,6 @@ class XebRun:
             "control_error": self.control_error,
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
-
 
 DEFAULT_DEPTHS = (1, 3, 5, 8, 12, 17, 23, 30)
 DEFAULT_CIRCUITS = 50
@@ -355,6 +355,8 @@ def batch_random_labels(n_circuits: int, depth: int, n_qubits: int, seed: int) -
     The no-immediate-repeat rule is enforced by drawing a nonzero offset
     from the previous label.
     """
+    if depth < 1:
+        raise BenchmarkingError("depth must be >= 1")
     rng = np.random.default_rng(seed)
     labels = np.empty((depth, n_circuits, n_qubits), dtype=np.int64)
     labels[0] = rng.integers(len(GATE_NAMES), size=(n_circuits, n_qubits))

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import root
 
 from .device import (
     DeviceModelError,
@@ -33,7 +32,7 @@ from .metrics import (
     wrap_angle,
 )
 from .propagator import ControlSchedule, PropagationResult, propagate
-from .pulses import CouplingInverter, PulseShapeSpec, SampledWaveform, sample_pulse
+from .pulses import DEFAULT_DT, CouplingInverter, PulseShapeSpec, SampledWaveform, sample_pulse
 
 SCAN_KINDS = ("leakage", "phase_deg", "phase_deviation_deg", "population")
 
@@ -93,11 +92,10 @@ class GateContext:
     """Shared per-device state for building and propagating gate schedules.
 
     Holds the Hamiltonian terms, the idle dressed basis, the g_eff
-    inverter and, with compensate on, the interpolated qubit-frequency
-    compensation table, all built once here, so a schedule depends only on
-    (pulse, Q2 detune).  The table has 41 knots from 0.1 GHz above the
-    upper qubit to 0.05 GHz above the idle coupler; a schedule that dips
-    below it raises CalibrationError, and above it the end value holds.
+    inverter and, with compensate on, the idle dressed qubit transitions
+    that the exact compensation holds, all built once here, so a schedule
+    depends only on (pulse, Q2 detune).  A schedule that dips below the
+    compensation floor, 0.1 GHz above the upper qubit, raises CalibrationError.
 
     `run` propagates only `blocks`, the invariant blocks that hold the
     computational states (the N <= 2 sectors at any truncation of the
@@ -106,7 +104,7 @@ class GateContext:
     over their subspace.
     """
 
-    def __init__(self, spec: DeviceSpec, dt: float = 0.05, compensate: bool = True,
+    def __init__(self, spec: DeviceSpec, dt: float = DEFAULT_DT, compensate: bool = True,
                  distortion: DistortionModel | None = None):
         self.spec = spec
         self.dt = dt
@@ -117,9 +115,7 @@ class GateContext:
         self.compensate = compensate
         self._inverter = CouplingInverter(spec)
         if compensate:
-            wcs = np.linspace(max(spec.q1.frequency, spec.q2.frequency) + 0.1,
-                              spec.coupler.frequency + 0.05, 41)
-            self._compensation = np.array(compensation_curve(spec, wcs, terms=self.terms)).T
+            self._targets = dressed_qubit_transitions(self.terms, spec.coupler.frequency)
 
     def build_schedule(self, pulse: PulseShapeSpec, q2_detune: float = 0.0) -> ControlSchedule:
         """Coupler-frequency schedule for a pulse given in g_eff units.
@@ -134,20 +130,16 @@ class GateContext:
         if self.distortion is not None and not self.distortion.is_identity():
             wf = predistort(self.distortion, wf)
 
-        n = len(wf.samples)
-        dq1 = np.zeros(n)
-        dq2 = np.full(n, q2_detune)
+        dq1 = dq2 = np.zeros(len(wf.samples))
         if self.compensate:
-            wc_grid, c1, c2 = self._compensation
-            lowest = np.min(wf.samples)
-            if lowest < wc_grid[0]:
-                raise CalibrationError(f"coupler frequency {lowest:.6f} GHz is below the "
-                                       f"compensation table's floor {wc_grid[0]:.6f} GHz")
-            dq1 += np.interp(wf.samples, wc_grid, c1)
-            dq2 += np.interp(wf.samples, wc_grid, c2)
+            floor = max(self.spec.q1.frequency, self.spec.q2.frequency) + 0.1
+            if np.min(wf.samples) < floor:
+                raise CalibrationError(f"coupler frequency {np.min(wf.samples):.6f} GHz is "
+                                       f"below the compensation floor {floor:.6f} GHz")
+            dq1, dq2 = _compensation_offsets(self.spec, self._targets, wf.samples)
         offsets = {
             "Q1": SampledWaveform(wf.dt, dq1, "coupler_frequency"),
-            "Q2": SampledWaveform(wf.dt, dq2, "coupler_frequency"),
+            "Q2": SampledWaveform(wf.dt, dq2 + q2_detune, "coupler_frequency"),
         }
         return ControlSchedule(coupler_trajectory=wf, qubit_offsets=offsets)
 
@@ -174,33 +166,48 @@ def dressed_qubit_transitions(terms: HamiltonianTerms, coupler_frequency: float,
     return t1, t2
 
 
+def _compensation_offsets(spec: DeviceSpec, targets: tuple[float, float],
+                          coupler_frequencies) -> tuple[np.ndarray, np.ndarray]:
+    """Exact bare offsets (dw_1, dw_2) at each coupler frequency w_c that put
+    the dressed qubit transitions at targets = (l1, l2), in GHz.
+
+    Eliminating the coupler from the 3x3 single-excitation block leaves one
+    quadratic in x = w1 + dw_1 - l1 + g_1c^2 / (l1 - w_c); its smaller root,
+    taken in the stable form, keeps the l1 eigenvector Q1-like.
+    """
+    wc = np.asarray(coupler_frequencies, dtype=float)
+    l1, l2 = targets
+    g = spec.couplings
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e1 = 1.0 / (l1 - wc)
+        e2 = 1.0 / (l2 - wc)
+        j1_sq = (g.g_12 + g.g_1c * g.g_2c * e1) ** 2
+        j2_sq = (g.g_12 + g.g_1c * g.g_2c * e2) ** 2
+        dx = l1 - l2 + g.g_1c ** 2 * (e2 - e1)
+        dy = l1 - l2 + g.g_2c ** 2 * (e2 - e1)
+        b = dx * dy + j1_sq - j2_sq
+        x = -2.0 * dx * j1_sq / (b + np.copysign(np.sqrt(b * b - 4.0 * dy * dx * j1_sq), b))
+        y = j2_sq / (x + dx) - dy
+        dw1 = l1 + x - g.g_1c ** 2 * e1 - spec.q1.frequency
+        dw2 = l1 + y - g.g_2c ** 2 * e1 - spec.q2.frequency
+    if not np.all(np.isfinite(dw1 + dw2)):
+        raise CalibrationError(f"no compensation at w_c = {wc[~np.isfinite(dw1 + dw2)]} GHz")
+    return dw1, dw2
+
+
 def compensation_curve(spec: DeviceSpec, coupler_frequencies,
                        terms: HamiltonianTerms | None = None) -> list[tuple[float, float, float]]:
     """Bare-frequency offsets holding the dressed qubit transitions fixed.
 
-    For each coupler frequency w_c, root-find (dw_1, dw_2) such that both
-    dressed 0->1 transitions equal their values at the idle coupler
-    frequency.  Returns (w_c, dw_1, dw_2) triples.
+    For each coupler frequency w_c, the exact (dw_1, dw_2) that hold both
+    dressed 0->1 transitions at their idle values.  Returns (w_c, dw_1, dw_2).
     """
     if terms is None:
         terms = build_hamiltonian(spec)
-    ref1, ref2 = dressed_qubit_transitions(terms, spec.coupler.frequency)
-
-    results = []
-    guess = np.zeros(2)
-    for wc in np.atleast_1d(coupler_frequencies):
-        def residual(x):
-            t1, t2 = dressed_qubit_transitions(terms, wc, x[0], x[1])
-            return [t1 - ref1, t2 - ref2]
-
-        sol = root(residual, guess, tol=1e-7)
-        # Judge by the residual, not sol.success: near an exact root the
-        # solver can stall at machine precision and still report failure.
-        if np.max(np.abs(residual(sol.x))) > 1e-5:
-            raise CalibrationError(f"compensation root-finding failed at w_c = {wc} GHz")
-        results.append((float(wc), float(sol.x[0]), float(sol.x[1])))
-        guess = sol.x  # warm start along the sweep
-    return results
+    targets = dressed_qubit_transitions(terms, spec.coupler.frequency)
+    wcs = np.atleast_1d(np.asarray(coupler_frequencies, dtype=float))
+    dw1, dw2 = _compensation_offsets(spec, targets, wcs)
+    return [(float(wc), float(a), float(b)) for wc, a, b in zip(wcs, dw1, dw2)]
 
 
 def calibrate_cz(ctx: GateContext, pulse: PulseShapeSpec,

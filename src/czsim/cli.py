@@ -253,23 +253,12 @@ def cmd_optimize(cfg: RunConfig, args) -> int:
 
     start = replace(cfg.pulse, family=family, length=args.start_length)
     start, detune, _ = _calibrated(cfg, ctx, start)
-    x0 = [start.peak_value, start.length, detune]
-    steps = [0.001, 4.0, 0.002]
-    if family == "slepian":
-        x0.append(start.slepian_coefficients[0] if start.slepian_coefficients else 1.0)
-        steps.append(0.2)
 
     def make_pulse(x):
-        pulse = replace(start, peak_value=float(x[0]), length=float(x[1]))
-        if family == "slepian":
-            coeffs = (float(x[3]),) + start.slepian_coefficients[1:]
-            pulse = replace(pulse, slepian_coefficients=coeffs)
-        return pulse
+        return replace(start, peak_value=float(x[0]), length=float(x[1]))
 
     def objective(x):
         if not (length_bounds[0] <= x[1] <= length_bounds[1]):
-            return 1.0
-        if family == "slepian" and x[3] <= 0:
             return 1.0
         try:
             return 1.0 - ctx.report(make_pulse(x), float(x[2])).fidelity
@@ -277,7 +266,8 @@ def cmd_optimize(cfg: RunConfig, args) -> int:
             return 1.0
 
     point, value, converged = nelder_mead_minimize(
-        objective, x0, steps, value_tol=1e-12, max_iterations=args.max_iterations)
+        objective, [start.peak_value, start.length, detune], [0.001, 4.0, 0.002],
+        value_tol=1e-12, max_iterations=args.max_iterations)
     if value >= 1.0:
         raise UsageError("bounds exclude any viable pulse", kind="no_viable_pulse")
 
@@ -452,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--waveform", required=True)
     p.add_argument("--output")
 
-    p = add("compensate", cmd_compensate, help="qubit-frequency compensation table")
+    p = add("compensate", cmd_compensate, help="qubit-frequency compensation curve")
     p.add_argument("--span", type=float, default=0.7, help="coupler sweep span below idle (GHz)")
     p.add_argument("--points", type=int, default=41)
 

@@ -12,10 +12,10 @@ from pathlib import Path
 import jsonschema
 
 from . import __version__
-from .benchmarking import NoiseSpec
+from .benchmarking import DEFAULT_CIRCUITS, DEFAULT_DEPTHS, NoiseSpec
 from .device import CouplingGraph, DeviceSpec, ModeSpec, zero_coupling_point
 from .distortion import DistortionModel
-from .pulses import PulseShapeSpec
+from .pulses import DEFAULT_DT, PulseShapeSpec
 
 CONFIG_VERSION = 1
 
@@ -148,7 +148,7 @@ DEFAULT_CONFIG = {
         "couplings": {"g_1c": 0.090, "g_2c": 0.090, "g_12": 0.006},
         "coupler_at_zero_coupling": True,
     },
-    "solver": {"dt_ns": 0.05},
+    "solver": {"dt_ns": DEFAULT_DT},
     "pulse": {
         "family": "slepian",
         "length_ns": 45.0,
@@ -162,7 +162,7 @@ DEFAULT_CONFIG = {
         "depolarizing_per_cycle": 0.0,
         "readout": {"f00": [0.993, 0.996], "f11": [0.966, 0.974]},
     },
-    "benchmarking": {"depths": [1, 3, 5, 8, 12, 17, 23, 30], "n_circuits": 50, "shots": None},
+    "benchmarking": {"depths": list(DEFAULT_DEPTHS), "n_circuits": DEFAULT_CIRCUITS, "shots": None},
     "seed": 0,
     "output_dir": "czsim_out",
 }

@@ -15,6 +15,7 @@ from czsim.calibration import (
     ramsey_conditional_phase,
     repeated_gate_scan,
 )
+from czsim.device import build_hamiltonian
 from czsim.distortion import DistortionModel
 from czsim.metrics import gate_report, project_computational, wrap_angle
 from czsim.propagator import propagate
@@ -58,8 +59,8 @@ def test_compensation_curve_signs_and_residuals(device, terms):
     for wc, dq1, dq2 in curve:
         # Compensation holds the dressed transitions at their idle values.
         t1, t2 = dressed_qubit_transitions(terms, wc, dq1, dq2)
-        assert abs(t1 - ref1) < 1e-6
-        assert abs(t2 - ref2) < 1e-6
+        assert abs(t1 - ref1) < 1e-12
+        assert abs(t2 - ref2) < 1e-12
     # Lowering the coupler toward the qubits repels the dressed qubit
     # levels downward, so the bare-frequency compensation is positive.
     assert curve[0][1] > 1e-4
@@ -69,23 +70,39 @@ def test_compensation_curve_signs_and_residuals(device, terms):
     assert abs(curve[-1][2]) < 1e-8
 
 
-def test_gate_context_caches_compensation(gate_context, monkeypatch):
-    # The table is built with the context; building schedules never
-    # root-finds again.
-    def no_root_finding(*args, **kwargs):
-        raise AssertionError("build_schedule recomputed the compensation table")
+@pytest.mark.parametrize("levels", [3, 4])
+def test_compensation_curve_exact_from_floor_to_far_coupler(device, levels):
+    spec = device.with_levels(levels)
+    terms = build_hamiltonian(spec)
+    g = spec.couplings
+    ref = dressed_qubit_transitions(terms, spec.coupler.frequency)
+    floor = max(spec.q1.frequency, spec.q2.frequency) + 0.1
+    # Where the coupler-mediated and direct Q1 couplings cancel (J1 = 0).
+    j1_zero = ref[0] + g.g_1c * g.g_2c / g.g_12
+    wcs = np.append(np.linspace(floor, 60.0, 25), j1_zero)
+    for wc, dq1, dq2 in compensation_curve(spec, wcs, terms=terms):
+        held = dressed_qubit_transitions(terms, wc, dq1, dq2)
+        assert np.max(np.abs(np.subtract(held, ref))) <= 1e-12, wc
 
-    monkeypatch.setattr("czsim.calibration.compensation_curve", no_root_finding)
+
+def test_schedule_offsets_hold_dressed_transitions(gate_context):
     pulse = PulseShapeSpec("slepian", 30.0, 0.0, -0.02)
     s1 = gate_context.build_schedule(pulse)
     s2 = gate_context.build_schedule(pulse)
     assert np.array_equal(s1.qubit_offsets["Q1"].samples, s2.qubit_offsets["Q1"].samples)
     assert set(s1.qubit_offsets) == {"Q1", "Q2"}
+    wc = s1.coupler_trajectory.samples
+    dq1 = s1.qubit_offsets["Q1"].samples
+    dq2 = s1.qubit_offsets["Q2"].samples
+    terms = gate_context.terms
+    ref = dressed_qubit_transitions(terms, gate_context.spec.coupler.frequency)
+    for k in range(0, len(wc), 20):
+        held = dressed_qubit_transitions(terms, wc[k], dq1[k], dq2[k])
+        assert np.max(np.abs(np.subtract(held, ref))) <= 1e-9, k
     # Compensation tracks the pulse: offsets are ~0 at the idle endpoints
     # and positive at the peak, where the coupler dips toward the qubits.
-    dq1 = s1.qubit_offsets["Q1"].samples
-    assert abs(dq1[0]) < 1e-5
-    assert abs(dq1[-1]) < 1e-5
+    assert abs(dq1[0]) <= 1e-12
+    assert abs(dq1[-1]) <= 1e-12
     assert dq1[len(dq1) // 2] > 1e-4
 
 
@@ -147,9 +164,9 @@ def test_gate_run_diagonalizes_no_block_above_six_states(gate_context, run_confi
 
 def test_schedule_below_compensation_table_rejected(gate_context):
     # A square pulse at g_eff = -0.030 holds the coupler near 5.142 GHz,
-    # below the table's floor 0.1 GHz above the upper qubit.
+    # below the compensation floor 0.1 GHz above the upper qubit.
     pulse = PulseShapeSpec("square", 45.0, 0.0, -0.030)
-    with pytest.raises(CalibrationError, match="below the compensation table"):
+    with pytest.raises(CalibrationError, match="below the compensation floor"):
         gate_context.build_schedule(pulse)
     with pytest.raises(CalibrationError):
         gate_context.report(pulse)

@@ -147,10 +147,13 @@ def test_cli_removed_config_keys_exit_2(tmp_path, capsys, section):
         {"label": "Q2", "frequency": 4.889, "anharmonicity": -0.235},
     ]}},
     {"distortion": {"settling_terms": [{"amplitude": -1.0, "time_constant_ns": 10.0}]}},
-], ids=["no_zero_coupling_point", "negative_frequency", "singular_distortion"])
+    {"noise": {"readout": {"f00": [0.993, 0.996], "f11": [0.966]}}},
+    {"noise": {"readout": {"f00": [1.5, 0.996], "f11": [0.966, 0.974]}}},
+], ids=["no_zero_coupling_point", "negative_frequency", "singular_distortion",
+        "readout_f11_shorter_than_f00", "readout_f00_above_one"])
 def test_cli_config_refused_by_domain_objects_exit_2(tmp_path, capsys, section):
-    # Each passes the schema but is refused when the device, mode or
-    # distortion model is built.
+    # Each passes the schema but is refused when the device, mode,
+    # distortion or noise model is built.
     path = _write_cfg(tmp_path, section)
     rc = main(["compensate", "--config", str(path), "--output-dir", str(tmp_path)])
     assert rc == 2
@@ -160,13 +163,13 @@ def test_cli_config_refused_by_domain_objects_exit_2(tmp_path, capsys, section):
 
 def test_cli_builds_one_gate_context_per_process(tmp_path, monkeypatch):
     built = []
-    curve = czsim.calibration.compensation_curve
+    inverter = czsim.calibration.CouplingInverter
 
     def counted(*args, **kwargs):
         built.append(1)
-        return curve(*args, **kwargs)
+        return inverter(*args, **kwargs)
 
-    monkeypatch.setattr(czsim.calibration, "compensation_curve", counted)
+    monkeypatch.setattr(czsim.calibration, "CouplingInverter", counted)
     # A dt no other test uses, so the first run here builds the context.
     path = _write_cfg(tmp_path, {"solver": {"dt_ns": 0.0625}})
     for run in ("a", "b"):
@@ -199,6 +202,25 @@ def test_cli_malformed_threads_fails_only_the_sweep(tmp_path, monkeypatch, capsy
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["kind"] == "usage"
     assert "CZSIM_THREADS" in err["error"]["message"]
+
+
+def test_cli_spb_depth_zero_exit_1(tmp_path, capsys):
+    path = _write_cfg(tmp_path)
+    rc = main(["spb", "--config", str(path), "--output-dir", str(tmp_path),
+               "--depth", "0", "--circuits", "100"])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["kind"] == "BenchmarkingError"
+
+
+def test_cli_optimize_keeps_slepian_coefficients(tmp_path):
+    path = _write_cfg(tmp_path)
+    rc = main(["optimize", "--config", str(path), "--output-dir", str(tmp_path),
+               "--shape", "slepian", "--max-iterations", "10", "--seed", "3"])
+    assert rc == 0
+    payload = json.loads((tmp_path / "optimized_slepian.json").read_text())
+    assert payload["pulse"]["slepian_coefficients"] \
+        == DEFAULT_CONFIG["pulse"]["slepian_coefficients"]
 
 
 def test_cli_sweep_requires_figure(tmp_path, capsys):
