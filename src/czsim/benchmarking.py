@@ -2,9 +2,11 @@
 
 Circuits alternate layers of random pi/2 rotations (axes X, Y and the two
 diagonals W, V in the equatorial plane, never repeating on the same qubit)
-with an optional CZ per cycle.  Noise is injected at the labeled-gate
-level: a global depolarizing channel once per cycle plus per-qubit
-readout confusion applied to the outcome probabilities.
+with an optional CZ per cycle.  Every circuit's labels come from
+batch_random_labels and every layer's unitary from one table, so XEB and
+SPB run the same ensemble through the same ideal path.  Noise is injected
+at the labeled-gate level: a global depolarizing channel once per cycle
+plus per-qubit readout confusion applied to the outcome probabilities.
 """
 
 from __future__ import annotations
@@ -32,6 +34,29 @@ def _half_pi_gate(axis_deg: float) -> np.ndarray:
 
 GATE_MATRICES = {name: _half_pi_gate(axis) for name, axis in _GATE_AXES_DEG.items()}
 CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
+
+_GATES = np.stack([GATE_MATRICES[name] for name in GATE_NAMES])
+# Every pi/2 layer's unitary by label index: the 4 gates for one qubit,
+# and kron(G[a], G[b]) at index 4a + b for two.
+_LAYER_TABLE = {
+    1: _GATES,
+    2: np.stack([np.kron(a, b) for a in _GATES for b in _GATES]),
+}
+
+
+def _layer_unitaries(labels: np.ndarray, two_qubit: np.ndarray | None = None) -> np.ndarray:
+    """Gather each layer's unitary from _LAYER_TABLE by label index.
+
+    labels has shape (..., n_qubits) and the result (..., D, D).  A
+    two-qubit gate, when given, follows every pi/2 layer of a two-qubit
+    circuit; it is applied to the table's 16 entries before the gather.
+    """
+    n_qubits = labels.shape[-1]
+    table = _LAYER_TABLE[n_qubits]
+    if two_qubit is not None and n_qubits == 2:
+        table = two_qubit @ table
+    index = labels @ len(GATE_NAMES) ** np.arange(n_qubits - 1, -1, -1)
+    return table[index]
 
 
 @dataclass(frozen=True)
@@ -92,63 +117,41 @@ class RandomCircuit:
 
 
 def generate_circuit(n_qubits: int, depth: int, seed: int, include_cz: bool = True) -> RandomCircuit:
-    """Draw gate labels uniformly with the no-immediate-repeat rule."""
+    """One circuit drawn by the batch rule: batch_random_labels(1, depth, n_qubits, seed)."""
     if n_qubits not in (1, 2):
         raise BenchmarkingError("only 1- and 2-qubit circuits are supported")
-    if depth < 1:
-        raise BenchmarkingError("depth must be >= 1")
-    rng = np.random.default_rng(seed)
-    layers = []
-    previous = [None] * n_qubits
-    for _ in range(depth):
-        layer = []
-        for q in range(n_qubits):
-            options = [g for g in GATE_NAMES if g != previous[q]]
-            choice = options[rng.integers(len(options))]
-            layer.append(choice)
-            previous[q] = choice
-        layers.append(tuple(layer))
+    labels = batch_random_labels(1, depth, n_qubits, seed)[:, 0]
     return RandomCircuit(n_qubits=n_qubits, depth=depth,
-                         single_qubit_layers=tuple(layers),
+                         single_qubit_layers=tuple(tuple(GATE_NAMES[i] for i in layer)
+                                                   for layer in labels),
                          include_cz=include_cz and n_qubits == 2, seed=seed)
-
-
-def _cycle_unitaries(circuit: RandomCircuit, cz_gate: np.ndarray | None = None):
-    two_qubit = cz_gate if cz_gate is not None else CZ
-    for layer in circuit.single_qubit_layers:
-        u = GATE_MATRICES[layer[0]]
-        if circuit.n_qubits == 2:
-            u = np.kron(u, GATE_MATRICES[layer[1]])
-            if circuit.include_cz:
-                u = two_qubit @ u
-        yield u
 
 
 def simulate_circuit(circuit: RandomCircuit, noise: NoiseSpec | None = None,
                      cz_gate: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Exact ideal probabilities and noisy outcome probabilities.
 
-    The ideal path is statevector evolution with canonical gate matrices.
-    The noisy path evolves a density matrix, applying the (possibly
-    device-backed, possibly leaky) CZ map, a global depolarizing channel
-    once per cycle, and finally the readout confusion.
+    The ideal path is batch_ideal_probs on this one circuit.  The noisy
+    path evolves a density matrix, applying the (possibly device-backed,
+    possibly leaky) CZ map, a global depolarizing channel once per cycle,
+    and finally the readout confusion.
     """
-    dim = 2 ** circuit.n_qubits
-    psi = np.zeros(dim, dtype=complex)
-    psi[0] = 1.0
-    for u in _cycle_unitaries(circuit):
-        psi = u @ psi
-    ideal = np.abs(psi) ** 2
+    labels = np.array([[GATE_NAMES.index(g) for g in layer]
+                       for layer in circuit.single_qubit_layers])
+    ideal = batch_ideal_probs(labels[:, None], include_cz=circuit.include_cz)[0]
 
     noise = noise or NoiseSpec()
     p = noise.depolarizing_per_cycle
+    dim = 2 ** circuit.n_qubits
+    two_qubit = (CZ if cz_gate is None else cz_gate) if circuit.include_cz else None
     rho = np.zeros((dim, dim), dtype=complex)
     rho[0, 0] = 1.0
-    for u in _cycle_unitaries(circuit, cz_gate):
+    for u in _layer_unitaries(labels, two_qubit):
         rho = u @ rho @ u.conj().T
         if p > 0.0:
             rho = (1.0 - p) * rho + p * np.trace(rho).real * np.eye(dim) / dim
-    noisy = np.real(np.diag(rho))
+    # Round-off leaves some diagonal entries at about -1e-17; shot sampling refuses them.
+    noisy = np.clip(np.real(np.diag(rho)), 0.0, None)
     total = noisy.sum()
     if total > 0:
         noisy = noisy / total  # renormalize away leakage loss of a leaky CZ map
@@ -348,12 +351,11 @@ def cz_xeb_pipeline(cz_gate: np.ndarray | None = None, noise: NoiseSpec | None =
 
 
 def batch_random_labels(n_circuits: int, depth: int, n_qubits: int, seed: int) -> np.ndarray:
-    """Gate-label indices of shape (depth, n_circuits, n_qubits), vectorized.
+    """Gate-label indices of shape (depth, n_circuits, n_qubits).
 
-    Uses one master generator instead of per-circuit seeds, so it is
-    deterministic in (seed, shape) but faster for very large ensembles.
-    The no-immediate-repeat rule is enforced by drawing a nonzero offset
-    from the previous label.
+    The one label rule of every circuit: the first layer is uniform, and
+    each later label is the previous one plus a uniform nonzero step mod
+    4, so no gate repeats on a qubit.  Deterministic in (seed, shape).
     """
     if depth < 1:
         raise BenchmarkingError("depth must be >= 1")
@@ -369,20 +371,11 @@ def batch_random_labels(n_circuits: int, depth: int, n_qubits: int, seed: int) -
 def batch_ideal_probs(labels: np.ndarray, include_cz: bool = True) -> np.ndarray:
     """Exact output probabilities for a batch of circuits, shape (n, D)."""
     depth, n_circuits, n_qubits = labels.shape
-    gates = np.stack([GATE_MATRICES[name] for name in GATE_NAMES])
-    dim = 2 ** n_qubits
-    psi = np.zeros((n_circuits, dim), dtype=complex)
+    two_qubit = CZ if include_cz else None
+    psi = np.zeros((n_circuits, 2 ** n_qubits), dtype=complex)
     psi[:, 0] = 1.0
     for d in range(depth):
-        if n_qubits == 1:
-            u = gates[labels[d, :, 0]]
-        else:
-            g1 = gates[labels[d, :, 0]]
-            g2 = gates[labels[d, :, 1]]
-            u = np.einsum("nab,ncd->nacbd", g1, g2).reshape(n_circuits, dim, dim)
-            if include_cz:
-                u = u * np.diag(CZ)[None, :, None]
-        psi = np.einsum("nij,nj->ni", u, psi)
+        psi = np.einsum("nij,nj->ni", _layer_unitaries(labels[d], two_qubit), psi)
     return np.abs(psi) ** 2
 
 

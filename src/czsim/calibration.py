@@ -34,7 +34,7 @@ from .metrics import (
 from .propagator import ControlSchedule, PropagationResult, propagate
 from .pulses import DEFAULT_DT, CouplingInverter, PulseShapeSpec, SampledWaveform, sample_pulse
 
-SCAN_KINDS = ("leakage", "phase_deg", "phase_deviation_deg", "population")
+SCAN_KINDS = ("leakage", "phase_deg", "phase_deviation_deg")
 
 
 class CalibrationError(ValueError):
@@ -367,9 +367,9 @@ def repeated_gate_scan(ctx: GateContext, pulse: PulseShapeSpec, n_list,
     )
 
 
-def _half_pi_y(sign: float = 1.0) -> np.ndarray:
+def _half_pi_y() -> np.ndarray:
     c = np.cos(np.pi / 4.0)
-    s = np.sin(np.pi / 4.0) * sign
+    s = np.sin(np.pi / 4.0)
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 

@@ -367,6 +367,8 @@ def cmd_predistort(cfg: RunConfig, args) -> int:
 
 
 def cmd_compensate(cfg: RunConfig, args) -> int:
+    if args.points < 1:
+        raise UsageError(f"--points must be at least 1, not {args.points}")
     terms = build_hamiltonian(cfg.device)
     wc_idle = cfg.device.coupler.frequency
     wcs = np.linspace(wc_idle - args.span, wc_idle, args.points)

@@ -303,6 +303,18 @@ def test_cli_compensate_outputs(tmp_path):
     assert np.max(np.abs(table[:, 5:7])) < 1e-5
 
 
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_cli_compensate_rejects_point_count_below_one(tmp_path, capsys, points):
+    path = _write_cfg(tmp_path)
+    out = tmp_path / "out"
+    rc = main(["compensate", "--config", str(path), "--output-dir", str(out),
+               "--points", points])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["kind"] == "usage"
+    assert not (out / "fig3_compensation.csv").exists()
+
+
 def test_cli_determinism_same_seed(tmp_path):
     path = _write_cfg(tmp_path)
     outs = []
