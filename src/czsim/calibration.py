@@ -2,8 +2,7 @@
 
 Covers frequency-shift compensation of the qubits against coupler motion,
 the two-dimensional leakage / conditional-phase scans used to locate the
-CZ operating point, repeated-gate amplification scans, and a shot-sampled
-Ramsey-style conditional-phase measurement.
+CZ operating point, and repeated-gate amplification scans.
 """
 
 from __future__ import annotations
@@ -78,14 +77,6 @@ class ScanResult:
         table[1:, 1:] = values
         header = "\n".join((header_lines or []) + [f"kind={self.kind}"])
         np.savetxt(path, table, delimiter=",", header=header, comments="# ", fmt="%.12g")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "coupling_axis": list(self.grid.coupling_axis),
-            "detune_axis": list(self.grid.detune_axis),
-            "values": np.asarray(self.values).tolist(),
-        }
 
 
 class GateContext:
@@ -365,59 +356,3 @@ def repeated_gate_scan(ctx: GateContext, pulse: PulseShapeSpec, n_list,
         ScanResult(grid=grid, values=leak, kind="leakage"),
         ScanResult(grid=grid, values=deviation, kind="phase_deviation_deg"),
     )
-
-
-def _half_pi_y() -> np.ndarray:
-    c = np.cos(np.pi / 4.0)
-    s = np.sin(np.pi / 4.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def ramsey_conditional_phase(m: np.ndarray, sample_shots: int | None = 10_000,
-                             seed: int = 0, n_phases: int = 24,
-                             readout_confusion: dict | None = None) -> float:
-    """Emulated Ramsey-type conditional-phase measurement (radians) of a 4x4 map.
-
-    Prepare Q2 in a superposition, optionally excite Q1, apply the gate,
-    sweep an analysis phase before the second pi/2 pulse, and fit the Q2
-    excited-state fringe.  The conditional phase is the fringe phase with
-    Q1 excited minus the phase with Q1 in the ground state.
-    sample_shots=None gives the infinite-shot limit.
-    """
-    m = np.asarray(m, dtype=complex)
-    if sample_shots is not None and sample_shots < 100:
-        raise CalibrationError("need at least 100 shots per phase point")
-
-    rng = np.random.default_rng(seed)
-    phases = np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False)
-    half_pi = _half_pi_y()
-
-    fringe_phases = []
-    for control in (0, 1):
-        psi0 = np.zeros(4, dtype=complex)
-        psi0[2 if control else 0] = 1.0  # |10> or |00>
-        psi0 = np.kron(np.eye(2), half_pi) @ psi0
-        psi1 = m @ psi0
-        p1 = np.empty(len(phases))
-        for k, phi in enumerate(phases):
-            analysis = half_pi @ np.diag([1.0, np.exp(1j * phi)])
-            psi = np.kron(np.eye(2), analysis) @ psi1
-            prob = np.abs(psi) ** 2
-            q2_excited = prob[1] + prob[3]
-            norm = prob.sum()
-            p = q2_excited / norm if norm > 0 else 0.0
-            if readout_confusion is not None:
-                f00 = readout_confusion.get("f00", 1.0)
-                f11 = readout_confusion.get("f11", 1.0)
-                p = (1.0 - f00) * (1.0 - p) + f11 * p
-            if sample_shots is not None:
-                p = rng.binomial(sample_shots, min(max(p, 0.0), 1.0)) / sample_shots
-            p1[k] = p
-        # Linear fit of p(phi) = a cos phi + b sin phi + c.
-        design = np.column_stack([np.cos(phases), np.sin(phases), np.ones_like(phases)])
-        (a, b, c), *_ = np.linalg.lstsq(design, p1, rcond=None)
-        contrast = np.hypot(a, b)
-        if contrast < 0.1:
-            raise CalibrationError(f"Ramsey fringe contrast {contrast:.3f} below 0.1")
-        fringe_phases.append(np.arctan2(-b, a))
-    return wrap_angle(fringe_phases[1] - fringe_phases[0])

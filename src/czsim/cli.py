@@ -226,6 +226,8 @@ def _sweep_fig4(cfg: RunConfig, args, out: Path, figure: str, cal) -> None:
 def cmd_sweep(cfg: RunConfig, args) -> int:
     if not args.figure:
         raise UsageError("sweep requires --figure " + "|".join(SWEEP_FIGURES))
+    if args.grid_points < 1 and set(args.figure) - {"fig2b"}:
+        raise UsageError(f"--grid-points must be at least 1, not {args.grid_points}")
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     cal = None
@@ -300,7 +302,8 @@ def _simulated_cz(cfg: RunConfig) -> np.ndarray:
 
 
 def cmd_xeb(cfg: RunConfig, args) -> int:
-    cz_gate = _simulated_cz(cfg) if args.use_gate else None
+    # One-qubit circuits hold no CZ, so only --qubits 2 uses the device gate.
+    cz_gate = _simulated_cz(cfg) if args.use_gate and args.qubits == 2 else None
     run = cz_xeb_pipeline(cz_gate=cz_gate, noise=cfg.noise, depths=cfg.depths,
                           n_circuits=cfg.n_circuits, seed=cfg.seed,
                           n_qubits=args.qubits, shots=cfg.shots)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.sparse.csgraph import connected_components
 
 TWO_PI = 2.0 * np.pi
@@ -274,18 +273,13 @@ def _resonant_single_excitation_block(spec: DeviceSpec, coupler_frequency) -> np
     return block
 
 
-def effective_coupling(spec: DeviceSpec, coupler_frequency: float) -> float:
-    """Effective Q1-Q2 exchange coupling g_eff at the given coupler frequency (GHz).
+def effective_coupling_batch(spec: DeviceSpec, coupler_frequencies: np.ndarray) -> np.ndarray:
+    """Effective Q1-Q2 exchange coupling g_eff at each coupler frequency (GHz).
 
     Magnitude: half the splitting of the two qubit-like eigenvalues of the
     single-excitation block with the qubits tuned into resonance.  Sign:
     perturbative estimate g_12 + g_1c g_2c (1/D1 + 1/D2)/2, D_i = w_i - w_c.
     """
-    return float(effective_coupling_batch(spec, np.asarray([coupler_frequency]))[0])
-
-
-def effective_coupling_batch(spec: DeviceSpec, coupler_frequencies: np.ndarray) -> np.ndarray:
-    """Vectorized effective_coupling over an array of coupler frequencies."""
     wc = np.asarray(coupler_frequencies, dtype=float)
     for w in (spec.q1.frequency, spec.q2.frequency):
         if np.any(np.abs(wc - w) < RESONANCE_GUARD):
@@ -321,26 +315,45 @@ def effective_coupling_batch(spec: DeviceSpec, coupler_frequencies: np.ndarray) 
     return np.where(ambiguous, np.where(perturbative >= 0, magnitude, -magnitude), signed)
 
 
+def coupler_frequency_at_coupling(spec: DeviceSpec, g_eff) -> np.ndarray:
+    """Exact inverse of effective_coupling_batch on the branch above the qubits (GHz).
+
+    With g_1c = g_2c = g the anti-phase state (|100> - |001>)/sqrt(2) of the
+    resonant single-excitation block decouples at w_q - g_12, so the
+    in-phase qubit-like level is w_q - g_12 + 2 g_eff, and the in-phase
+    2x2 block gives
+
+        w_c = w_q - g_12 + 2 g_eff - g^2 / (g_eff - g_12),
+
+    rising monotonically to infinity as g_eff approaches g_12 from below.
+    Devices with g_1c != g_2c have no such decoupled state and are refused.
+    """
+    g = spec.couplings
+    if g.g_1c != g.g_2c:
+        raise DeviceModelError(
+            f"the g_eff inverse needs equal qubit-coupler couplings, "
+            f"got g_1c = {g.g_1c} and g_2c = {g.g_2c} GHz"
+        )
+    g_eff = np.asarray(g_eff, dtype=float)
+    wq = 0.5 * (spec.q1.frequency + spec.q2.frequency)
+    return wq - g.g_12 + 2.0 * g_eff - g.g_1c ** 2 / (g_eff - g.g_12)
+
+
 def zero_coupling_point(spec: DeviceSpec) -> float:
     """Coupler frequency above the qubits where g_eff crosses zero (GHz).
 
-    Bisection to |g_eff| < 1e-6 GHz on [upper qubit + 0.2, 20] GHz; raises
-    if g_eff does not change sign there.
+    The inverse at g_eff = 0, w_q - g_12 + g^2/g_12; raises if g_eff does
+    not change sign on [upper qubit + 0.2, 20] GHz.
     """
     lo = max(spec.q1.frequency, spec.q2.frequency) + 0.2
     hi = 20.0
-    f_lo = effective_coupling(spec, lo)
-    f_hi = effective_coupling(spec, hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if np.sign(f_lo) == np.sign(f_hi):
+    # g_12 = 0 puts the zero at infinity, where the formula divides by zero.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = float(coupler_frequency_at_coupling(spec, 0.0))
+    if not lo <= root <= hi:
+        f_lo, f_hi = effective_coupling_batch(spec, np.array([lo, hi]))
         raise DeviceModelError(
             f"effective coupling does not change sign on [{lo}, {hi}] GHz "
             f"(g_eff = {f_lo:.3e} .. {f_hi:.3e})"
         )
-    root = brentq(lambda w: effective_coupling(spec, w), lo, hi, xtol=1e-10)
-    if abs(effective_coupling(spec, root)) >= 1e-6:
-        raise DeviceModelError("bisection failed to reach |g_eff| < 1e-6 GHz")
-    return float(root)
+    return root

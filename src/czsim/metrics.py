@@ -13,7 +13,6 @@ Every figure of a gate is read from its projected 4x4 map M.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,9 +74,6 @@ class GateReport:
             "conditional_phase_deg": np.degrees(self.conditional_phase),
             "subspace_trace_loss": self.subspace_trace_loss,
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def cz_target(angles: VirtualZAngles) -> np.ndarray:

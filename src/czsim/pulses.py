@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import DeviceSpec, effective_coupling_batch
+from .device import DeviceSpec, coupler_frequency_at_coupling, effective_coupling_batch
 
 FAMILIES = ("square", "slepian", "cosine")
 PARAMETERIZATIONS = ("coupler_frequency", "effective_coupling")
@@ -117,13 +117,12 @@ def sample_pulse(spec: PulseShapeSpec, dt: float = DEFAULT_DT) -> SampledWavefor
 
 
 class CouplingInverter:
-    """Cached inverse of g_eff(w_c) on the monotone branch above the qubits.
+    """Inverse of g_eff(w_c) on the monotone branch above the qubits.
 
-    A dense forward table from 0.05 GHz above the upper qubit to 60 GHz,
-    built once per device, seeds an interpolated guess that up to three
-    Newton steps polish until the residual |g_eff(w_c) - target| is below
-    tol (GHz) for every value; a value outside the table's g_eff range, or
-    one left above tol, raises PulseError.
+    Each value is mapped exactly by coupler_frequency_at_coupling.  The
+    attainable range is [g_eff(upper qubit + 0.05 GHz), g_eff(60 GHz)]; a
+    value outside it, or one whose residual |g_eff(w_c) - target| exceeds
+    tol (GHz), raises PulseError.
     """
 
     tol = 1e-9
@@ -131,31 +130,18 @@ class CouplingInverter:
     def __init__(self, device: DeviceSpec):
         lo = max(device.q1.frequency, device.q2.frequency) + 0.05
         self.device = device
-        # Fine spacing near the qubits where g_eff is most curved.
-        wc = np.concatenate([
-            np.arange(lo, lo + 2.0, 5e-4),
-            np.arange(lo + 2.0, 60.0, 0.05),
-            [60.0],
-        ])
-        g = effective_coupling_batch(device, wc)
-        self._wc = wc
-        self._g = g
-        self._dg = np.gradient(g, wc)
+        self._range = effective_coupling_batch(device, np.array([lo, 60.0]))
 
     def invert_values(self, targets: np.ndarray) -> np.ndarray:
         targets = np.asarray(targets, dtype=float)
-        if np.any(targets < self._g[0]) or np.any(targets > self._g[-1]):
-            bad = targets[(targets < self._g[0]) | (targets > self._g[-1])][0]
+        g_min, g_max = self._range
+        outside = (targets < g_min) | (targets > g_max)
+        if np.any(outside):
             raise PulseError(
-                f"g_eff = {bad:.6f} GHz outside the attainable range "
-                f"[{self._g[0]:.6f}, {self._g[-1]:.6f}] GHz"
+                f"g_eff = {targets[outside][0]:.6f} GHz outside the attainable range "
+                f"[{g_min:.6f}, {g_max:.6f}] GHz"
             )
-        w = np.interp(targets, self._g, self._wc)
-        for _ in range(3):
-            residual = effective_coupling_batch(self.device, w) - targets
-            if np.max(np.abs(residual)) < 0.01 * self.tol:
-                break
-            w = w - residual / np.interp(w, self._wc, self._dg)
+        w = coupler_frequency_at_coupling(self.device, targets)
         residual = np.abs(effective_coupling_batch(self.device, w) - targets)
         if np.any(residual > self.tol):
             raise PulseError(f"inversion residual {residual.max():.2e} GHz exceeds {self.tol} GHz")

@@ -12,12 +12,11 @@ from czsim.calibration import (
     dressed_qubit_transitions,
     leakage_scan,
     phase_scan,
-    ramsey_conditional_phase,
     repeated_gate_scan,
 )
 from czsim.device import build_hamiltonian
 from czsim.distortion import DistortionModel
-from czsim.metrics import gate_report, project_computational, wrap_angle
+from czsim.metrics import gate_report, project_computational
 from czsim.propagator import propagate
 from czsim.pulses import PulseShapeSpec
 
@@ -41,9 +40,6 @@ def test_scan_result_csv(tmp_path):
     assert table.shape == (3, 4)
     assert np.allclose(table[1:, 1:], values)
     assert np.allclose(table[0, 1:], grid.detune_axis)
-    d = result.to_json_dict()
-    assert d["kind"] == "leakage"
-    assert np.allclose(d["values"], values)
 
 
 def test_dressed_transitions_at_idle(terms, device):
@@ -245,32 +241,3 @@ def test_repeated_gate_scan_rejects_unordered_counts(gate_context, run_config, n
     # would have to reorder, or one holding N < 1, is refused.
     with pytest.raises(CalibrationError, match="strictly increasing"):
         repeated_gate_scan(gate_context, run_config.pulse, n_list, [-0.0217], q2_detune=-0.0138)
-
-
-def test_ramsey_matches_unitary_phase(calibrated_gate):
-    _, _, report = calibrated_gate
-    phi_unitary = report.conditional_phase
-    phi_inf = ramsey_conditional_phase(report.projected_map, sample_shots=None)
-    assert wrap_angle(phi_inf - phi_unitary) == pytest.approx(0.0, abs=1e-6)
-    phi_shots = ramsey_conditional_phase(report.projected_map, sample_shots=20_000,
-                                         seed=7)
-    assert abs(wrap_angle(phi_shots - phi_unitary)) < 0.02
-
-
-def test_ramsey_deterministic_and_validated(calibrated_gate):
-    _, _, report = calibrated_gate
-    a = ramsey_conditional_phase(report.projected_map, sample_shots=5_000, seed=3)
-    b = ramsey_conditional_phase(report.projected_map, sample_shots=5_000, seed=3)
-    assert a == b
-    with pytest.raises(CalibrationError):
-        ramsey_conditional_phase(report.projected_map, sample_shots=10)
-    with pytest.raises(CalibrationError):
-        ramsey_conditional_phase(np.diag([1.0, 0.0, 1.0, 0.0]), sample_shots=None)
-
-
-def test_ramsey_with_readout_confusion(calibrated_gate):
-    _, _, report = calibrated_gate
-    phi = ramsey_conditional_phase(report.projected_map, sample_shots=None,
-                                   readout_confusion={"f00": 0.993, "f11": 0.97})
-    # Readout confusion rescales the fringe but not its phase.
-    assert wrap_angle(phi - report.conditional_phase) == pytest.approx(0.0, abs=1e-6)

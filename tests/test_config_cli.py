@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import czsim.calibration
+import czsim.cli
 from czsim.cli import _parse_lengths, build_parser, default_workers, main
 from czsim.config import (
     CONFIG_VERSION,
@@ -313,6 +314,38 @@ def test_cli_compensate_rejects_point_count_below_one(tmp_path, capsys, points):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["kind"] == "usage"
     assert not (out / "fig3_compensation.csv").exists()
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_cli_sweep_rejects_grid_points_below_one(tmp_path, capsys, monkeypatch, points):
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibrated before validating --grid-points")
+
+    monkeypatch.setattr(czsim.cli, "_calibrated", no_calibration)
+    path = _write_cfg(tmp_path)
+    out = tmp_path / "out"
+    rc = main(["sweep", "--config", str(path), "--output-dir", str(out),
+               "--figure", "fig4a", "--grid-points", points])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["kind"] == "usage"
+    assert not (out / "fig4a_leakage.csv").exists()
+
+
+def test_cli_xeb_one_qubit_ignores_use_gate(tmp_path, monkeypatch):
+    def no_gate(cfg):
+        raise AssertionError("calibrated a CZ for one-qubit circuits")
+
+    monkeypatch.setattr(czsim.cli, "_simulated_cz", no_gate)
+    path = _write_cfg(tmp_path, {"benchmarking": {"depths": [2, 4, 6], "n_circuits": 20}})
+    outs = []
+    for name, flags in (("plain", []), ("gate", ["--use-gate"])):
+        out = tmp_path / name
+        rc = main(["xeb", "--config", str(path), "--output-dir", str(out),
+                   "--qubits", "1"] + flags)
+        assert rc == 0
+        outs.append((out / "fig5_xeb_1q.json").read_text())
+    assert outs[0] == outs[1]
 
 
 def test_cli_determinism_same_seed(tmp_path):

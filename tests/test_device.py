@@ -10,7 +10,6 @@ from czsim.device import (
     ModeSpec,
     build_hamiltonian,
     dressed_basis,
-    effective_coupling,
     effective_coupling_batch,
     zero_coupling_point,
 )
@@ -94,16 +93,16 @@ def test_dressed_basis_labels_and_energies(terms, basis):
 
 def test_effective_coupling_zero_at_idle(device):
     # The default device parks the coupler at the zero-coupling point.
-    assert abs(effective_coupling(device, device.coupler.frequency)) < 1e-6
+    assert abs(effective_coupling_batch(device, [device.coupler.frequency])[0]) < 1e-6
 
 
 def test_effective_coupling_signs(device):
-    assert effective_coupling(device, 6.0) < 0
-    assert effective_coupling(device, 7.0) > 0
+    below, above, far = effective_coupling_batch(device, [6.0, 7.0, 100.0])
+    assert below < 0
+    assert above > 0
     # Far above the qubits the direct coupling remains (perturbative tail
     # is the residual), so compare at a numerically asymptotic frequency.
-    assert effective_coupling(device, 100.0) == pytest.approx(
-        device.couplings.g_12, abs=1e-4)
+    assert far == pytest.approx(device.couplings.g_12, abs=1e-4)
 
 
 def test_effective_coupling_monotone_on_branch(device):
@@ -112,22 +111,15 @@ def test_effective_coupling_monotone_on_branch(device):
     assert np.all(np.diff(g) > 0)
 
 
-@given(wc=st.floats(5.5, 15.0))
-@settings(max_examples=30, deadline=None)
-def test_effective_coupling_batch_matches_scalar(device, wc):
-    batch = effective_coupling_batch(device, np.asarray([wc]))[0]
-    assert batch == pytest.approx(effective_coupling(device, wc), abs=1e-12)
-
-
 def test_effective_coupling_resonance_guard(device):
     with pytest.raises(DeviceModelError):
-        effective_coupling(device, device.q1.frequency + 0.005)
+        effective_coupling_batch(device, [device.q1.frequency + 0.005])
 
 
 def test_zero_coupling_point(device):
     zcp = zero_coupling_point(device)
     assert zcp == pytest.approx(6.327, abs=5e-3)
-    assert abs(effective_coupling(device, zcp)) < 1e-6
+    assert abs(effective_coupling_batch(device, [zcp])[0]) < 1e-12
     # Without a direct coupling g_eff stays negative above the qubits.
     g = device.couplings
     no_direct = DeviceSpec(device.modes, CouplingGraph(g_1c=g.g_1c, g_2c=g.g_2c, g_12=0.0))

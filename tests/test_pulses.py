@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from czsim.device import effective_coupling_batch
+from czsim.calibration import GateContext
+from czsim.device import (
+    CouplingGraph,
+    DeviceModelError,
+    DeviceSpec,
+    effective_coupling_batch,
+    zero_coupling_point,
+)
 from czsim.pulses import (
     CouplingInverter,
     PulseError,
@@ -82,6 +89,38 @@ def test_coupling_to_frequency_residual(device):
     assert np.max(np.abs(back - wf.samples)) < 1e-9
     # idle coupling maps back to the zero-coupling idle frequency
     assert freq.samples[0] == pytest.approx(device.coupler.frequency, abs=1e-6)
+
+
+def test_coupling_inverse_exact_across_attainable_range(device):
+    inverter = CouplingInverter(device)
+    lo, hi = effective_coupling_batch(
+        device, [max(device.q1.frequency, device.q2.frequency) + 0.05, 60.0])
+    targets = np.sort(np.concatenate([np.linspace(lo, hi, 4001), [0.0, 1e-12, -1e-12]]))
+    wc = inverter.invert_values(targets)
+    assert np.max(np.abs(effective_coupling_batch(device, wc) - targets)) <= 1e-12
+    assert np.all(np.diff(wc) > 0)
+
+
+def test_coupling_inverse_idles_at_zero_coupling_point(device):
+    # The config parks the coupler at zero_coupling_point, the same formula
+    # at g_eff = 0, so idle samples invert to it bit for bit.
+    idle = CouplingInverter(device).invert_values([0.0])[0]
+    assert idle == device.coupler.frequency == zero_coupling_point(device)
+
+
+def test_coupling_inverse_refuses_unequal_couplings(device):
+    g = device.couplings
+    unequal = DeviceSpec(device.modes, CouplingGraph(g_1c=0.09, g_2c=0.08, g_12=g.g_12))
+    with pytest.raises(DeviceModelError, match="g_1c = 0.09 and g_2c = 0.08"):
+        zero_coupling_point(unequal)
+    with pytest.raises(DeviceModelError, match="g_1c = 0.09 and g_2c = 0.08"):
+        CouplingInverter(unequal).invert_values([0.0])
+    # A pulse given in coupler frequency needs no inverse.
+    idle = device.coupler.frequency
+    pulse = PulseShapeSpec("slepian", 40.0, idle, idle - 0.3,
+                           parameterization="coupler_frequency")
+    schedule = GateContext(unequal).build_schedule(pulse)
+    assert schedule.coupler_trajectory.samples[0] == idle
 
 
 def test_coupling_to_frequency_out_of_range(device):
