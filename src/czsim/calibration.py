@@ -17,6 +17,7 @@ from .device import (
     HamiltonianTerms,
     build_hamiltonian,
     dressed_basis,
+    zero_coupling_point,
 )
 from .distortion import DistortionModel, predistort
 from .metrics import (
@@ -58,7 +59,6 @@ class ScanGrid:
 
 @dataclass(frozen=True)
 class ScanResult:
-    grid: ScanGrid
     values: np.ndarray
     kind: str
 
@@ -88,6 +88,10 @@ class GateContext:
     depends only on (pulse, Q2 detune).  A schedule that dips below the
     compensation floor, 0.1 GHz above the upper qubit, raises CalibrationError.
 
+    Every pulse is a g_eff excursion from 0, so the device's coupler must
+    idle at its zero-coupling point, to within the inverter's tolerance;
+    any other device raises DeviceModelError.
+
     `run` propagates only `blocks`, the invariant blocks that hold the
     computational states (the N <= 2 sectors at any truncation of the
     exchange-coupled model), since no gate metric reads the others.  Its
@@ -97,6 +101,13 @@ class GateContext:
 
     def __init__(self, spec: DeviceSpec, dt: float = DEFAULT_DT, compensate: bool = True,
                  distortion: DistortionModel | None = None):
+        idle = zero_coupling_point(spec)
+        self._inverter = CouplingInverter(spec)
+        if abs(spec.coupler.frequency - idle) > self._inverter.tol:
+            raise DeviceModelError(
+                f"coupler at {spec.coupler.frequency} GHz, not at its zero-coupling "
+                f"point {idle} GHz, where every pulse starts and ends"
+            )
         self.spec = spec
         self.dt = dt
         self.terms = build_hamiltonian(spec)
@@ -104,7 +115,6 @@ class GateContext:
         self.blocks = computational_blocks(self.terms)
         self.distortion = distortion
         self.compensate = compensate
-        self._inverter = CouplingInverter(spec)
         if compensate:
             self._targets = dressed_qubit_transitions(self.terms, spec.coupler.frequency)
 
@@ -115,9 +125,7 @@ class GateContext:
         sample, then adds the constant Q2 detune on top.  The optional line
         distortion model predistorts the coupler trajectory.
         """
-        wf = sample_pulse(pulse, self.dt)
-        if wf.parameterization == "effective_coupling":
-            wf = self._inverter(wf)
+        wf = self._inverter(sample_pulse(pulse, self.dt))
         if self.distortion is not None and not self.distortion.is_identity():
             wf = predistort(self.distortion, wf)
 
@@ -304,7 +312,7 @@ def _grid_scan(ctx: GateContext, grid: ScanGrid, pulse: PulseShapeSpec, measure,
                 values[i, j] = measure(m)
             except (ValueError, DeviceModelError) as exc:
                 raise CalibrationError(f"scan failed at (g={peak}, detune={det}): {exc}") from exc
-    return ScanResult(grid=grid, values=values, kind=kind)
+    return ScanResult(values=values, kind=kind)
 
 
 def leakage_scan(ctx: GateContext, grid: ScanGrid, pulse: PulseShapeSpec) -> ScanResult:
@@ -348,11 +356,7 @@ def repeated_gate_scan(ctx: GateContext, pulse: PulseShapeSpec, n_list,
             m = v.conj().T @ u_n @ v
             leak[i, j] = leakage_from_11(m)
             deviation[i, j] = np.degrees(wrap_angle(conditional_phase(m) - n * np.pi))
-    grid = ScanGrid(
-        coupling_axis=tuple(axis_values) if axis == "coupling" else (),
-        detune_axis=tuple(axis_values) if axis == "detune" else (),
-    )
     return (
-        ScanResult(grid=grid, values=leak, kind="leakage"),
-        ScanResult(grid=grid, values=deviation, kind="phase_deviation_deg"),
+        ScanResult(values=leak, kind="leakage"),
+        ScanResult(values=deviation, kind="phase_deviation_deg"),
     )

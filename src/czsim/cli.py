@@ -122,7 +122,6 @@ def _pulse_dict(pulse) -> dict:
         "family": pulse.family,
         "length_ns": pulse.length,
         "peak_value": pulse.peak_value,
-        "parameterization": pulse.parameterization,
         "slepian_coefficients": list(pulse.slepian_coefficients),
     }
 

@@ -13,7 +13,7 @@ import jsonschema
 
 from . import __version__
 from .benchmarking import DEFAULT_CIRCUITS, DEFAULT_DEPTHS, NoiseSpec
-from .device import CouplingGraph, DeviceSpec, ModeSpec, zero_coupling_point
+from .device import MODE_LABELS, CouplingGraph, DeviceSpec, ModeSpec, zero_coupling_point
 from .distortion import DistortionModel
 from .pulses import DEFAULT_DT, PulseShapeSpec
 
@@ -24,17 +24,22 @@ class ConfigError(ValueError):
     pass
 
 
-_MODE_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["label", "frequency", "anharmonicity"],
-    "properties": {
-        "label": {"enum": ["Q1", "C", "Q2"]},
-        "frequency": {"type": "number"},
-        "anharmonicity": {"type": "number"},
-        "levels": {"type": "integer", "minimum": 3},
-    },
-}
+def _mode_schema(label: str) -> dict:
+    """Schema of one mode.  The coupler takes no frequency: it idles at the
+    zero-coupling point, which the qubits and couplings fix."""
+    frequency = {} if label == "C" else {"frequency": {"type": "number"}}
+    return {
+        "type": "object",
+        "additionalProperties": False,
+        "required": ["label", *frequency, "anharmonicity"],
+        "properties": {
+            "label": {"const": label},
+            **frequency,
+            "anharmonicity": {"type": "number"},
+            "levels": {"type": "integer", "minimum": 3},
+        },
+    }
+
 
 CONFIG_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -48,7 +53,8 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["modes", "couplings"],
             "properties": {
-                "modes": {"type": "array", "items": _MODE_SCHEMA, "minItems": 3, "maxItems": 3},
+                "modes": {"type": "array", "items": [_mode_schema(m) for m in MODE_LABELS],
+                          "additionalItems": False, "minItems": 3},
                 "couplings": {
                     "type": "object",
                     "additionalProperties": False,
@@ -59,7 +65,6 @@ CONFIG_SCHEMA = {
                         "g_12": {"type": "number"},
                     },
                 },
-                "coupler_at_zero_coupling": {"type": "boolean"},
             },
         },
         "solver": {
@@ -75,9 +80,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "family": {"enum": ["square", "slepian", "cosine"]},
                 "length_ns": {"type": "number", "exclusiveMinimum": 0},
-                "idle_value": {"type": "number"},
                 "peak_value": {"type": "number"},
-                "parameterization": {"enum": ["coupler_frequency", "effective_coupling"]},
                 "slepian_coefficients": {"type": "array", "items": {"type": "number"}},
             },
         },
@@ -142,19 +145,16 @@ DEFAULT_CONFIG = {
     "device": {
         "modes": [
             {"label": "Q1", "frequency": 5.077, "anharmonicity": -0.235, "levels": 3},
-            {"label": "C", "frequency": 7.0, "anharmonicity": -0.100, "levels": 3},
+            {"label": "C", "anharmonicity": -0.100, "levels": 3},
             {"label": "Q2", "frequency": 4.889, "anharmonicity": -0.235, "levels": 3},
         ],
         "couplings": {"g_1c": 0.090, "g_2c": 0.090, "g_12": 0.006},
-        "coupler_at_zero_coupling": True,
     },
     "solver": {"dt_ns": DEFAULT_DT},
     "pulse": {
         "family": "slepian",
         "length_ns": 45.0,
-        "idle_value": 0.0,
         "peak_value": -0.022,
-        "parameterization": "effective_coupling",
         "slepian_coefficients": [1.0],
     },
     "gate": {"q2_detune": -0.014, "compensate": True},
@@ -246,23 +246,27 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
 def _materialize(raw: dict) -> RunConfig:
     """Build the domain objects from a config already merged with DEFAULT_CONFIG."""
     dev = raw["device"]
-    # A user's modes list replaces the default one wholesale, so levels
-    # keeps a fallback here.
-    modes = tuple(
-        ModeSpec(m["label"], m["frequency"], m["anharmonicity"], m.get("levels", 3))
-        for m in dev["modes"]
-    )
-    device = DeviceSpec(modes, CouplingGraph(**dev["couplings"]))
-    if dev["coupler_at_zero_coupling"]:
-        device = device.with_frequencies(coupler=zero_coupling_point(device))
+    couplings = CouplingGraph(**dev["couplings"])
+
+    def device_with_coupler_at(frequency: float) -> DeviceSpec:
+        # Only the coupler has no frequency key.  A user's modes list
+        # replaces the default one wholesale, so levels keeps a fallback here.
+        return DeviceSpec(tuple(
+            ModeSpec(m["label"], m.get("frequency", frequency), m["anharmonicity"],
+                     m.get("levels", 3))
+            for m in dev["modes"]
+        ), couplings)
+
+    # The coupler idles at the zero-coupling point.  That point depends only
+    # on the qubits and couplings, so the coupler of the spec it is read
+    # from may sit anywhere.
+    device = device_with_coupler_at(zero_coupling_point(device_with_coupler_at(1.0)))
 
     pulse_cfg = raw["pulse"]
     pulse = PulseShapeSpec(
         family=pulse_cfg["family"],
         length=pulse_cfg["length_ns"],
-        idle_value=pulse_cfg["idle_value"],
         peak_value=pulse_cfg["peak_value"],
-        parameterization=pulse_cfg["parameterization"],
         slepian_coefficients=tuple(pulse_cfg["slepian_coefficients"]),
     )
     gate = raw["gate"]

@@ -100,20 +100,6 @@ class DeviceSpec:
     def dims(self) -> tuple[int, int, int]:
         return tuple(m.levels for m in self.modes)
 
-    def with_frequencies(self, q1=None, coupler=None, q2=None) -> "DeviceSpec":
-        """Copy of this spec with some mode frequencies replaced (GHz)."""
-        new = []
-        for mode, f in zip(self.modes, (q1, coupler, q2)):
-            if f is None:
-                new.append(mode)
-            else:
-                new.append(ModeSpec(mode.label, f, mode.anharmonicity, mode.levels))
-        return DeviceSpec(tuple(new), self.couplings)
-
-    def with_levels(self, levels: int) -> "DeviceSpec":
-        new = tuple(ModeSpec(m.label, m.frequency, m.anharmonicity, levels) for m in self.modes)
-        return DeviceSpec(new, self.couplings)
-
 
 @dataclass(frozen=True)
 class HamiltonianTerms:

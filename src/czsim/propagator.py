@@ -108,26 +108,6 @@ def _step_offsets(terms: HamiltonianTerms, schedule: ControlSchedule) -> dict[st
     return offsets
 
 
-def refine_schedule(schedule: ControlSchedule, factor: int = 2) -> ControlSchedule:
-    """Subdivide the schedule's piecewise-linear controls onto a finer grid."""
-    if factor < 1:
-        raise PropagationError("refinement factor must be >= 1")
-
-    def _refine(wf: SampledWaveform) -> SampledWaveform:
-        n = len(wf.samples)
-        fine = np.interp(np.arange((n - 1) * factor + 1) / factor,
-                         np.arange(n), wf.samples)
-        return SampledWaveform(dt=wf.dt / factor, samples=fine,
-                               parameterization=wf.parameterization)
-
-    offsets = schedule.qubit_offsets
-    return ControlSchedule(
-        coupler_trajectory=_refine(schedule.coupler_trajectory),
-        qubit_offsets=None if offsets is None else
-        {label: _refine(wf) for label, wf in offsets.items()},
-    )
-
-
 def _check_step_size(terms: HamiltonianTerms, offsets: dict[str, np.ndarray], dt: float) -> None:
     worst = 0.0
     for label, dw in offsets.items():

@@ -1,8 +1,9 @@
 """Coupler control waveforms: square, fast-adiabatic (slepian) and cosine.
 
+Every pulse is an excursion in the effective Q1-Q2 coupling g_eff from 0,
+where the coupler idles at its zero-coupling point, to a peak value.
 Waveforms are sampled on a uniform grid and carry a parameterization tag:
-either the coupler frequency itself or the effective Q1-Q2 coupling, which
-is the coordinate the gate is actually calibrated in.
+effective_coupling for a sampled pulse, coupler_frequency once inverted.
 """
 
 from __future__ import annotations
@@ -27,23 +28,20 @@ class PulseError(ValueError):
 class PulseShapeSpec:
     """Parametric description of one control pulse.
 
-    idle_value and peak_value are in GHz, in the units of the chosen
-    parameterization.  slepian_coefficients are the Fourier weights of the
+    The pulse runs in effective coupling g_eff from 0, the idle of a
+    coupler at its zero-coupling point, to peak_value (GHz) and back.
+    length is in ns.  slepian_coefficients are the Fourier weights of the
     fast-adiabatic ramp rate (slepian family only).
     """
 
     family: str
     length: float
-    idle_value: float
     peak_value: float
-    parameterization: str = "effective_coupling"
     slepian_coefficients: tuple[float, ...] = (1.0,)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise PulseError(f"unknown pulse family {self.family!r}")
-        if self.parameterization not in PARAMETERIZATIONS:
-            raise PulseError(f"unknown parameterization {self.parameterization!r}")
         if not self.length > 0:
             raise PulseError("pulse length must be positive")
         if self.family == "slepian" and abs(sum(self.slepian_coefficients)) < 1e-12:
@@ -91,29 +89,27 @@ def _slepian_ramp(u: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
 
 
 def sample_pulse(spec: PulseShapeSpec, dt: float = DEFAULT_DT) -> SampledWaveform:
-    """Sample a pulse on a uniform grid of spacing dt.
+    """Sample a pulse's g_eff on a uniform grid of spacing dt.
 
-    Slepian and cosine pulses start and end exactly at idle_value; square
-    pulses are padded with one idle sample on each side so every schedule
-    starts and ends at idle.
+    Slepian and cosine pulses start and end exactly at 0; square pulses
+    are padded with one idle sample on each side so every schedule starts
+    and ends at idle.
     """
     if dt > spec.length / 20.0:
         raise PulseError(f"dt = {dt} ns too coarse for a {spec.length} ns pulse (need <= length/20)")
     n_steps = max(int(round(spec.length / dt)), 1)
     t = np.arange(n_steps + 1) * dt
     T = n_steps * dt
-    span = spec.peak_value - spec.idle_value
+    peak = spec.peak_value
 
     if spec.family == "square":
-        samples = np.concatenate(
-            ([spec.idle_value], np.full(n_steps + 1, spec.peak_value), [spec.idle_value])
-        )
+        samples = np.concatenate(([0.0], np.full(n_steps + 1, peak), [0.0]))
     elif spec.family == "cosine":
-        samples = spec.idle_value + span * 0.5 * (1.0 - np.cos(2.0 * np.pi * t / T))
+        samples = peak * 0.5 * (1.0 - np.cos(2.0 * np.pi * t / T))
     else:  # slepian
         u = np.where(t <= T / 2.0, 2.0 * t / T, 2.0 * (T - t) / T)
-        samples = spec.idle_value + span * _slepian_ramp(u, spec.slepian_coefficients)
-    return SampledWaveform(dt=dt, samples=samples, parameterization=spec.parameterization)
+        samples = peak * _slepian_ramp(u, spec.slepian_coefficients)
+    return SampledWaveform(dt=dt, samples=samples, parameterization="effective_coupling")
 
 
 class CouplingInverter:
@@ -167,7 +163,11 @@ def waveform_to_csv(waveform: SampledWaveform, path, header_lines: list[str] | N
 
 
 def waveform_from_csv(path) -> SampledWaveform:
-    """Read a waveform written by waveform_to_csv."""
+    """Read a waveform written by waveform_to_csv.
+
+    Raises PulseError unless the file has a parameterization header and at
+    least two rows of (t_ns, value_ghz) on a uniform time grid.
+    """
     parameterization = None
     with open(path) as f:
         for line in f:
@@ -175,7 +175,12 @@ def waveform_from_csv(path) -> SampledWaveform:
                 parameterization = line.split("=", 1)[1].strip()
     if parameterization is None:
         raise PulseError(f"{path}: missing parameterization header")
-    data = np.loadtxt(path, delimiter=",", comments="#", skiprows=0)
+    data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    if data.shape[0] < 2 or data.shape[1] != 2:
+        raise PulseError(f"{path}: need at least two rows of t_ns,value_ghz, got shape {data.shape}")
     t = data[:, 0]
-    dt = float(t[1] - t[0]) if len(t) > 1 else 1.0
+    dt = float(t[1] - t[0])
+    # The times are written to 12 significant digits, far inside this tolerance.
+    if not np.allclose(np.diff(t), dt, rtol=1e-6, atol=0.0):
+        raise PulseError(f"{path}: times are not on a uniform grid of spacing {dt} ns")
     return SampledWaveform(dt=dt, samples=data[:, 1], parameterization=parameterization)

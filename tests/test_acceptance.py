@@ -32,8 +32,9 @@ from czsim.calibration import (
 from czsim.cli import main
 from czsim.distortion import DistortionModel, apply_distortion, predistort
 from czsim.metrics import VirtualZAngles, cz_target, fit_virtual_z, wrap_angle
-from czsim.propagator import propagate, refine_schedule
+from czsim.propagator import propagate
 from czsim.pulses import PulseShapeSpec, sample_pulse
+from helpers import refine_schedule, with_levels
 
 
 @pytest.fixture()
@@ -166,7 +167,7 @@ def test_criterion_06_propagator_properties(gate_context, calibrated_gate, run_c
         assert result.unitarity_defect < 1e-9
         refined = propagate(gate_context.terms, refine_schedule(schedule, 2))
         assert np.max(np.abs(result.propagator - refined.propagator)) < 1e-6
-        ctx4 = GateContext(run_config.device.with_levels(4), dt=run_config.dt)
+        ctx4 = GateContext(with_levels(run_config.device, 4), dt=run_config.dt)
         report4 = ctx4.report(pulse, detune)
         assert abs(report4.fidelity - report3.fidelity) < 5e-4
 
@@ -202,7 +203,7 @@ def test_criterion_08_spb_recovery(criterion):
 def test_criterion_09_predistortion_round_trip(criterion):
     with criterion(9, "predistortion round trip"):
         for family in ("square", "slepian", "cosine"):
-            wf = sample_pulse(PulseShapeSpec(family, 45.0, 0.0, -0.02), dt=0.05)
+            wf = sample_pulse(PulseShapeSpec(family, 45.0, -0.02), dt=0.05)
             for tau in (5.0, 50.0, 500.0):
                 model = DistortionModel(settling_terms=((-0.1, tau),), gain=0.98)
                 back = apply_distortion(model, predistort(model, wf)).samples

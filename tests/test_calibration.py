@@ -19,6 +19,7 @@ from czsim.distortion import DistortionModel
 from czsim.metrics import gate_report, project_computational
 from czsim.propagator import propagate
 from czsim.pulses import PulseShapeSpec
+from helpers import with_levels
 
 
 def test_scan_grid_validation():
@@ -26,20 +27,20 @@ def test_scan_grid_validation():
     with pytest.raises(CalibrationError):
         ScanGrid(coupling_axis=(-0.03, -0.01, -0.02))
     with pytest.raises(CalibrationError):
-        ScanResult(grid=ScanGrid(), values=np.zeros((2, 2)), kind="bogus")
+        ScanResult(values=np.zeros((2, 2)), kind="bogus")
 
 
 def test_scan_result_csv(tmp_path):
-    grid = ScanGrid(coupling_axis=(-0.03, -0.02), detune_axis=(-0.02, -0.01, 0.0))
+    couplings, detunes = np.array([-0.03, -0.02]), np.array([-0.02, -0.01, 0.0])
     values = np.arange(6.0).reshape(2, 3)
-    result = ScanResult(grid=grid, values=values, kind="leakage")
+    result = ScanResult(values=values, kind="leakage")
     path = tmp_path / "scan.csv"
-    result.to_csv(path, np.asarray(grid.coupling_axis), np.asarray(grid.detune_axis),
-                  header_lines=["test"])
+    result.to_csv(path, couplings, detunes, header_lines=["test"])
     table = np.loadtxt(path, delimiter=",")
     assert table.shape == (3, 4)
     assert np.allclose(table[1:, 1:], values)
-    assert np.allclose(table[0, 1:], grid.detune_axis)
+    assert np.allclose(table[0, 1:], detunes)
+    assert np.allclose(table[1:, 0], couplings)
 
 
 def test_dressed_transitions_at_idle(terms, device):
@@ -68,7 +69,7 @@ def test_compensation_curve_signs_and_residuals(device, terms):
 
 @pytest.mark.parametrize("levels", [3, 4])
 def test_compensation_curve_exact_from_floor_to_far_coupler(device, levels):
-    spec = device.with_levels(levels)
+    spec = with_levels(device, levels)
     terms = build_hamiltonian(spec)
     g = spec.couplings
     ref = dressed_qubit_transitions(terms, spec.coupler.frequency)
@@ -82,7 +83,7 @@ def test_compensation_curve_exact_from_floor_to_far_coupler(device, levels):
 
 
 def test_schedule_offsets_hold_dressed_transitions(gate_context):
-    pulse = PulseShapeSpec("slepian", 30.0, 0.0, -0.02)
+    pulse = PulseShapeSpec("slepian", 30.0, -0.02)
     s1 = gate_context.build_schedule(pulse)
     s2 = gate_context.build_schedule(pulse)
     assert np.array_equal(s1.qubit_offsets["Q1"].samples, s2.qubit_offsets["Q1"].samples)
@@ -161,7 +162,7 @@ def test_gate_run_diagonalizes_no_block_above_six_states(gate_context, run_confi
 def test_schedule_below_compensation_table_rejected(gate_context):
     # A square pulse at g_eff = -0.030 holds the coupler near 5.142 GHz,
     # below the compensation floor 0.1 GHz above the upper qubit.
-    pulse = PulseShapeSpec("square", 45.0, 0.0, -0.030)
+    pulse = PulseShapeSpec("square", 45.0, -0.030)
     with pytest.raises(CalibrationError, match="below the compensation floor"):
         gate_context.build_schedule(pulse)
     with pytest.raises(CalibrationError):
@@ -169,7 +170,7 @@ def test_schedule_below_compensation_table_rejected(gate_context):
 
 
 def test_build_schedule_q2_detune_offset(gate_context):
-    pulse = PulseShapeSpec("slepian", 30.0, 0.0, -0.02)
+    pulse = PulseShapeSpec("slepian", 30.0, -0.02)
     base = gate_context.build_schedule(pulse)
     detuned = gate_context.build_schedule(pulse, q2_detune=-0.014)
     dq2 = detuned.qubit_offsets["Q2"].samples - base.qubit_offsets["Q2"].samples
@@ -182,7 +183,7 @@ def test_build_schedule_applies_predistortion(run_config):
     model = DistortionModel(settling_terms=((-0.05, 40.0),))
     plain = GateContext(run_config.device, dt=run_config.dt)
     lined = GateContext(run_config.device, dt=run_config.dt, distortion=model)
-    pulse = PulseShapeSpec("slepian", 30.0, 0.0, -0.02)
+    pulse = PulseShapeSpec("slepian", 30.0, -0.02)
     wf_plain = plain.build_schedule(pulse).coupler_trajectory.samples
     wf_lined = lined.build_schedule(pulse).coupler_trajectory.samples
     assert np.max(np.abs(wf_plain - wf_lined)) > 1e-5

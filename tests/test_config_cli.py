@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 import subprocess
 import sys
@@ -13,6 +15,7 @@ from czsim.config import (
     CONFIG_VERSION,
     ConfigError,
     DEFAULT_CONFIG,
+    RunConfig,
     load_config,
 )
 
@@ -141,10 +144,95 @@ def test_cli_removed_config_keys_exit_2(tmp_path, capsys, section):
 
 
 @pytest.mark.parametrize("section", [
+    {"device": {"coupler_at_zero_coupling": False}},
+    {"device": {"modes": [
+        {"label": "Q1", "frequency": 5.077, "anharmonicity": -0.235},
+        {"label": "C", "frequency": 7.0, "anharmonicity": -0.100},
+        {"label": "Q2", "frequency": 4.889, "anharmonicity": -0.235},
+    ]}},
+    {"pulse": {"idle_value": 0.0}},
+    {"pulse": {"parameterization": "effective_coupling"}},
+], ids=["coupler_at_zero_coupling", "coupler_frequency", "idle_value", "parameterization"])
+def test_cli_idle_moving_config_keys_exit_2(tmp_path, capsys, section):
+    # The coupler always idles at zero coupling and every pulse runs in g_eff
+    # from 0, so the keys that could move either are refused, even at the
+    # values they used to default to.
+    path = _write_cfg(tmp_path, section)
+    rc = main(["gate", "--config", str(path), "--output-dir", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["kind"] == "invalid_config"
+
+
+def _leaf_paths(tree, path=()):
+    """Paths to the leaves of a config tree; a list of objects is indexed."""
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield from _leaf_paths(value, path + (key,))
+    elif isinstance(tree, list) and tree and isinstance(tree[0], dict):
+        for i, value in enumerate(tree):
+            yield from _leaf_paths(value, path + (i,))
+    else:
+        yield path
+
+
+# One other valid value for every leaf of DEFAULT_CONFIG but the version and
+# the mode labels, whose only valid values are the defaults.
+_OTHER_VALUES = {
+    ("device", "modes", 0, "frequency"): 5.1,
+    ("device", "modes", 0, "anharmonicity"): -0.2,
+    ("device", "modes", 0, "levels"): 4,
+    ("device", "modes", 1, "anharmonicity"): -0.12,
+    ("device", "modes", 1, "levels"): 4,
+    ("device", "modes", 2, "frequency"): 4.9,
+    ("device", "modes", 2, "anharmonicity"): -0.2,
+    ("device", "modes", 2, "levels"): 4,
+    ("device", "couplings", "g_1c"): 0.08,
+    ("device", "couplings", "g_2c"): 0.08,
+    ("device", "couplings", "g_12"): 0.007,
+    ("solver", "dt_ns"): 0.025,
+    ("pulse", "family"): "cosine",
+    ("pulse", "length_ns"): 50.0,
+    ("pulse", "peak_value"): -0.02,
+    ("pulse", "slepian_coefficients"): [1.0, 0.5],
+    ("gate", "q2_detune"): None,
+    ("gate", "compensate"): False,
+    ("noise", "depolarizing_per_cycle"): 0.01,
+    ("noise", "readout", "f00"): [0.99, 0.996],
+    ("noise", "readout", "f11"): [0.96, 0.974],
+    ("benchmarking", "depths"): [2, 4],
+    ("benchmarking", "n_circuits"): 7,
+    ("benchmarking", "shots"): 100,
+    ("seed",): 1,
+    ("output_dir",): "elsewhere",
+}
+_FIXED_LEAVES = [("version",)] + [("device", "modes", i, "label") for i in range(3)]
+
+
+@pytest.mark.parametrize("leaf", [p for p in _leaf_paths(DEFAULT_CONFIG) if p not in _FIXED_LEAVES],
+                         ids=lambda p: ".".join(map(str, p)))
+def test_every_config_key_reaches_a_domain_object(leaf):
+    assert leaf in _OTHER_VALUES, f"no other valid value listed for {leaf}"
+    raw = copy.deepcopy(DEFAULT_CONFIG)
+    node = raw
+    for key in leaf[:-1]:
+        node = node[key]
+    node[leaf[-1]] = _OTHER_VALUES[leaf]
+    if leaf[-1] in ("g_1c", "g_2c"):
+        # The g_eff inverse needs g_1c = g_2c, so the two move together.
+        node.update(g_1c=_OTHER_VALUES[leaf], g_2c=_OTHER_VALUES[leaf])
+    default, changed = load_config(), load_config(overrides=raw)
+    # repr, because NoiseSpec holds arrays, which == does not reduce to a bool.
+    moved = [f.name for f in dataclasses.fields(RunConfig) if f.name != "raw"
+             and repr(getattr(changed, f.name)) != repr(getattr(default, f.name))]
+    assert moved, f"{'.'.join(map(str, leaf))} reaches no field of RunConfig"
+
+
+@pytest.mark.parametrize("section", [
     {"device": {"couplings": {"g_12": 0.0}}},
     {"device": {"modes": [
         {"label": "Q1", "frequency": -5.0, "anharmonicity": -0.235},
-        {"label": "C", "frequency": 7.0, "anharmonicity": -0.100},
+        {"label": "C", "anharmonicity": -0.100},
         {"label": "Q2", "frequency": 4.889, "anharmonicity": -0.235},
     ]}},
     {"distortion": {"settling_terms": [{"amplitude": -1.0, "time_constant_ns": 10.0}]}},
@@ -235,7 +323,7 @@ def test_cli_sweep_requires_figure(tmp_path, capsys):
 def _write_waveform(tmp_path):
     from czsim.pulses import PulseShapeSpec, sample_pulse, waveform_to_csv
 
-    wf = sample_pulse(PulseShapeSpec("slepian", 40.0, 0.0, -0.02), dt=0.05)
+    wf = sample_pulse(PulseShapeSpec("slepian", 40.0, -0.02), dt=0.05)
     path = tmp_path / "wf.csv"
     waveform_to_csv(wf, path)
     return path
@@ -288,6 +376,28 @@ def test_cli_predistort_round_trip(tmp_path):
     rc = main(["predistort", "--config", str(path), "--output-dir", str(out),
                "--waveform", str(tmp_path / "missing.csv")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([(0.0, 6.327)], "at least two rows"),
+    ([(0.0, 6.327), (0.05, 6.3), (0.5, 6.3), (0.55, 6.327)], "not on a uniform grid"),
+], ids=["one_row", "nonuniform_times"])
+def test_cli_predistort_refuses_malformed_waveform_exit_1(tmp_path, capsys, rows, message):
+    path = _write_cfg(tmp_path, {
+        "distortion": {"settling_terms": [{"amplitude": -0.08,
+                                           "time_constant_ns": 60.0}]},
+    })
+    wf_path = tmp_path / "bad.csv"
+    wf_path.write_text("# parameterization=coupler_frequency\n# t_ns,value_ghz\n"
+                       + "".join(f"{t},{v}\n" for t, v in rows))
+    out = tmp_path / "out"
+    rc = main(["predistort", "--config", str(path), "--output-dir", str(out),
+               "--waveform", str(wf_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["kind"] == "PulseError"
+    assert message in err["error"]["message"]
+    assert not (out / "predistorted.csv").exists()
 
 
 def test_cli_compensate_outputs(tmp_path):

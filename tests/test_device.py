@@ -13,6 +13,7 @@ from czsim.device import (
     effective_coupling_batch,
     zero_coupling_point,
 )
+from helpers import with_levels
 
 
 def test_default_device_layout(device):
@@ -44,7 +45,7 @@ def test_mode_ordering_enforced(device):
 
 def test_dimension_cap(device):
     with pytest.raises(DeviceModelError):
-        build_hamiltonian(device.with_levels(11))
+        build_hamiltonian(with_levels(device, 11))
 
 
 def test_hamiltonian_shape_and_hermiticity(terms):
@@ -125,13 +126,6 @@ def test_zero_coupling_point(device):
     no_direct = DeviceSpec(device.modes, CouplingGraph(g_1c=g.g_1c, g_2c=g.g_2c, g_12=0.0))
     with pytest.raises(DeviceModelError, match=r"does not change sign on \[5\.277, 20\.0\] GHz"):
         zero_coupling_point(no_direct)
-
-
-def test_with_frequencies_and_levels(device):
-    moved = device.with_frequencies(q2=4.87)
-    assert moved.q2.frequency == pytest.approx(4.87)
-    assert moved.q1.frequency == device.q1.frequency
-    assert device.with_levels(4).dims() == (4, 4, 4)
 
 
 def test_dressed_basis_require_subset(terms):

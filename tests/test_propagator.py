@@ -6,8 +6,9 @@ from scipy.linalg import expm
 
 from czsim.device import build_hamiltonian
 from czsim.metrics import computational_blocks
-from czsim.propagator import ControlSchedule, PropagationError, propagate, refine_schedule
+from czsim.propagator import ControlSchedule, PropagationError, propagate
 from czsim.pulses import CouplingInverter, PulseShapeSpec, SampledWaveform, sample_pulse
+from helpers import refine_schedule, with_levels
 
 
 def _idle_schedule(terms, length, dt):
@@ -25,7 +26,7 @@ def _constant_offset(value, like):
 
 
 def _gate_schedule(device, dt=0.05, length=45.0, peak=-0.02):
-    spec = PulseShapeSpec("slepian", length, 0.0, peak)
+    spec = PulseShapeSpec("slepian", length, peak)
     wf = CouplingInverter(device)(sample_pulse(spec, dt))
     return ControlSchedule(coupler_trajectory=wf)
 
@@ -135,7 +136,7 @@ def _excitation_numbers(terms):
 
 @pytest.mark.parametrize("levels", [3, 4])
 def test_blocks_are_excitation_sectors(device, levels):
-    terms = build_hamiltonian(device.with_levels(levels))
+    terms = build_hamiltonian(with_levels(device, levels))
     n_exc = _excitation_numbers(terms)
     assert len(terms.blocks) == 3 * (levels - 1) + 1
     assert sorted(int(n_exc[idx[0]]) for idx in terms.blocks) == list(range(len(terms.blocks)))
@@ -177,7 +178,7 @@ def test_sector_mixing_terms_merge_blocks(device, terms):
 
 @pytest.mark.parametrize("levels", [3, 4])
 def test_computational_blocks_are_the_low_sectors(device, levels):
-    terms = build_hamiltonian(device.with_levels(levels))
+    terms = build_hamiltonian(with_levels(device, levels))
     n_exc = _excitation_numbers(terms)
     selected = computational_blocks(terms)
     assert sorted(int(n_exc[idx[0]]) for idx in selected) == [0, 1, 2]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,8 +25,7 @@ from czsim.pulses import (
 
 
 def _spec(family="slepian", length=40.0, peak=-0.02, **kwargs):
-    return PulseShapeSpec(family=family, length=length, idle_value=0.0,
-                          peak_value=peak, **kwargs)
+    return PulseShapeSpec(family=family, length=length, peak_value=peak, **kwargs)
 
 
 def test_spec_validation():
@@ -33,14 +34,13 @@ def test_spec_validation():
     with pytest.raises(PulseError):
         _spec(length=0.0)
     with pytest.raises(PulseError):
-        PulseShapeSpec("slepian", 40.0, 0.0, -0.02, parameterization="volts")
-    with pytest.raises(PulseError):
         _spec(slepian_coefficients=(1.0, -1.0))
 
 
 def test_sample_grid_and_endpoints():
     for family in ("slepian", "cosine"):
         wf = sample_pulse(_spec(family=family, length=40.0), dt=0.05)
+        assert wf.parameterization == "effective_coupling"
         assert len(wf.samples) == 801
         assert wf.duration == pytest.approx(40.0)
         assert wf.samples[0] == pytest.approx(0.0, abs=1e-15)
@@ -115,12 +115,21 @@ def test_coupling_inverse_refuses_unequal_couplings(device):
         zero_coupling_point(unequal)
     with pytest.raises(DeviceModelError, match="g_1c = 0.09 and g_2c = 0.08"):
         CouplingInverter(unequal).invert_values([0.0])
-    # A pulse given in coupler frequency needs no inverse.
-    idle = device.coupler.frequency
-    pulse = PulseShapeSpec("slepian", 40.0, idle, idle - 0.3,
-                           parameterization="coupler_frequency")
-    schedule = GateContext(unequal).build_schedule(pulse)
-    assert schedule.coupler_trajectory.samples[0] == idle
+    # Every pulse is a g_eff excursion, so no gate runs on such a device.
+    with pytest.raises(DeviceModelError, match="g_1c = 0.09 and g_2c = 0.08"):
+        GateContext(unequal)
+
+
+def test_gate_context_refuses_coupler_off_zero_coupling(device):
+    # At 7.0 GHz, g_eff = 0 inverts to 6.327 GHz, so a zero pulse would
+    # be a 0.673 GHz excursion with a spurious conditional phase.
+    away = replace(device, modes=(device.q1, replace(device.coupler, frequency=7.0), device.q2))
+    with pytest.raises(DeviceModelError, match="not at its zero-coupling point"):
+        GateContext(away)
+    nudged = device.coupler.frequency + 1e-8
+    near = replace(device, modes=(device.q1, replace(device.coupler, frequency=nudged), device.q2))
+    with pytest.raises(DeviceModelError, match="not at its zero-coupling point"):
+        GateContext(near)
 
 
 def test_coupling_to_frequency_out_of_range(device):
