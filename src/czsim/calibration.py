@@ -109,6 +109,7 @@ class GateContext:
                 f"point {idle} GHz, where every pulse starts and ends"
             )
         self.spec = spec
+        self.idle = idle
         self.dt = dt
         self.terms = build_hamiltonian(spec)
         self.basis = dressed_basis(self.terms)
@@ -123,11 +124,13 @@ class GateContext:
 
         Applies the frequency-shift compensation to both qubits sample by
         sample, then adds the constant Q2 detune on top.  The optional line
-        distortion model predistorts the coupler trajectory.
+        distortion model predistorts the coupler's excursion from idle, so
+        the schedule (the line's input) starts exactly at idle.
         """
         wf = self._inverter(sample_pulse(pulse, self.dt))
         if self.distortion is not None and not self.distortion.is_identity():
-            wf = predistort(self.distortion, wf)
+            excursion = predistort(self.distortion, replace(wf, samples=wf.samples - self.idle))
+            wf = replace(excursion, samples=self.idle + excursion.samples)
 
         dq1 = dq2 = np.zeros(len(wf.samples))
         if self.compensate:

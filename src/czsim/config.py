@@ -140,6 +140,10 @@ CONFIG_SCHEMA = {
     },
 }
 
+# One validator, checked once; jsonschema.validate redoes both on every call.
+jsonschema.Draft7Validator.check_schema(CONFIG_SCHEMA)
+_VALIDATOR = jsonschema.Draft7Validator(CONFIG_SCHEMA)
+
 DEFAULT_CONFIG = {
     "version": CONFIG_VERSION,
     "device": {
@@ -232,10 +236,9 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     raw = _merge(DEFAULT_CONFIG, raw)
     if overrides:
         raw = _merge(raw, overrides)
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"invalid config: {exc.message} (at {'/'.join(map(str, exc.path))})") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        raise ConfigError(f"invalid config: {error.message} (at {'/'.join(map(str, error.path))})")
     # The domain objects refuse values the schema lets through (a negative frequency, ...).
     try:
         return _materialize(raw)

@@ -24,8 +24,8 @@ TWO_PI = 2.0 * np.pi
 # Hard cap on the Hilbert-space dimension (levels product).
 MAX_DIMENSION = 1000
 
-# Guard band around qubit frequencies where the perturbative sign estimate
-# for the effective coupling breaks down (GHz).
+# The g_eff model covers the branch above the qubits; it starts this far
+# above the upper qubit (GHz).
 RESONANCE_GUARD = 0.010
 
 MODE_LABELS = ("Q1", "C", "Q2")
@@ -240,89 +240,48 @@ def dressed_basis(terms: HamiltonianTerms, offsets_ghz: dict[str, float] | None 
     return DressedBasis(labels=labels, energies=energies, vectors=evecs)
 
 
-def _resonant_single_excitation_block(spec: DeviceSpec, coupler_frequency) -> np.ndarray:
-    """Single-excitation block(s) with Q1/Q2 tuned to their mean frequency.
-
-    Returns shape (..., 3, 3) for array-valued coupler_frequency; basis
-    order (|100>, |010>, |001>).  Linear in frequencies, so plain GHz.
-    """
-    wc = np.asarray(coupler_frequency, dtype=float)
-    wq = 0.5 * (spec.q1.frequency + spec.q2.frequency)
+def _equal_coupling(spec: DeviceSpec) -> float:
+    """g = g_1c = g_2c (GHz).  Other devices have no decoupled anti-phase state."""
     g = spec.couplings
-    block = np.zeros(wc.shape + (3, 3))
-    block[..., 0, 0] = wq
-    block[..., 1, 1] = wc
-    block[..., 2, 2] = wq
-    block[..., 0, 1] = block[..., 1, 0] = g.g_1c
-    block[..., 1, 2] = block[..., 2, 1] = g.g_2c
-    block[..., 0, 2] = block[..., 2, 0] = g.g_12
-    return block
+    if g.g_1c != g.g_2c:
+        raise DeviceModelError(f"the g_eff model needs equal qubit-coupler couplings, "
+                               f"got g_1c = {g.g_1c} and g_2c = {g.g_2c} GHz")
+    return g.g_1c
 
 
 def effective_coupling_batch(spec: DeviceSpec, coupler_frequencies: np.ndarray) -> np.ndarray:
-    """Effective Q1-Q2 exchange coupling g_eff at each coupler frequency (GHz).
+    """Effective Q1-Q2 coupling g_eff at each coupler frequency, in closed form (GHz).
 
-    Magnitude: half the splitting of the two qubit-like eigenvalues of the
-    single-excitation block with the qubits tuned into resonance.  Sign:
-    perturbative estimate g_12 + g_1c g_2c (1/D1 + 1/D2)/2, D_i = w_i - w_c.
+    g_eff is half the gap between the in-phase and anti-phase qubit-like
+    levels of the single-excitation block with both qubits at their mean
+    w_q.  With g_1c = g_2c = g the anti-phase level is w_q - g_12, and the
+    lower level of the in-phase 2x2 block gives, with h = (w_c - w_q - g_12)/2,
+    g_eff = g_12 - g^2 / (h + sqrt(h^2 + 2 g^2)), free of cancellation.  A
+    coupler below the upper qubit + RESONANCE_GUARD, off that branch, raises.
     """
+    g = _equal_coupling(spec)
     wc = np.asarray(coupler_frequencies, dtype=float)
-    for w in (spec.q1.frequency, spec.q2.frequency):
-        if np.any(np.abs(wc - w) < RESONANCE_GUARD):
-            raise DeviceModelError(
-                f"coupler frequency within {RESONANCE_GUARD} GHz of a qubit at {w} GHz"
-            )
-    block = _resonant_single_excitation_block(spec, wc)
-    evals, evecs = np.linalg.eigh(block)
-    # Qubit character of each eigenvector: weight on |100> and |001>.
-    character = np.abs(evecs[..., 0, :]) ** 2 + np.abs(evecs[..., 2, :]) ** 2
-    order = np.argsort(-character, axis=-1)[..., :2]
-    qubit_like = np.take_along_axis(evals, order, axis=-1)
-    magnitude = 0.5 * np.abs(qubit_like[..., 0] - qubit_like[..., 1])
-
-    # Sign from the in-phase/anti-phase structure of the qubit-like pair
-    # (E_inphase - E_antiphase)/2, which is smooth through the zero crossing
-    # and matches the perturbative estimate g_12 + g_1c g_2c (1/D1 + 1/D2)/2
-    # wherever the resonance guard holds.
-    phase_product = evecs[..., 0, :] * evecs[..., 2, :]
-    pa = np.take_along_axis(phase_product, order[..., :1], axis=-1)[..., 0]
-    pb = np.take_along_axis(phase_product, order[..., 1:], axis=-1)[..., 0]
-    ea = qubit_like[..., 0]
-    eb = qubit_like[..., 1]
-    signed = np.where(pa >= pb, ea - eb, eb - ea) * 0.5
-
-    # Near-degenerate fallback: if the pair shares an in/anti-phase sign the
-    # structure is ambiguous; use the perturbative sign with the magnitude.
-    g = spec.couplings
-    d1 = spec.q1.frequency - wc
-    d2 = spec.q2.frequency - wc
-    perturbative = g.g_12 + 0.5 * g.g_1c * g.g_2c * (1.0 / d1 + 1.0 / d2)
-    ambiguous = np.sign(pa) == np.sign(pb)
-    return np.where(ambiguous, np.where(perturbative >= 0, magnitude, -magnitude), signed)
+    floor = max(spec.q1.frequency, spec.q2.frequency) + RESONANCE_GUARD
+    if np.any(wc < floor):
+        raise DeviceModelError(f"coupler frequency {np.min(wc)} GHz below {floor} GHz, "
+                               f"{RESONANCE_GUARD} GHz above the upper qubit")
+    g_12 = spec.couplings.g_12
+    h = 0.5 * (wc - 0.5 * (spec.q1.frequency + spec.q2.frequency) - g_12)
+    return g_12 - g ** 2 / (h + np.sqrt(h ** 2 + 2.0 * g ** 2))
 
 
 def coupler_frequency_at_coupling(spec: DeviceSpec, g_eff) -> np.ndarray:
     """Exact inverse of effective_coupling_batch on the branch above the qubits (GHz).
 
-    With g_1c = g_2c = g the anti-phase state (|100> - |001>)/sqrt(2) of the
-    resonant single-excitation block decouples at w_q - g_12, so the
-    in-phase qubit-like level is w_q - g_12 + 2 g_eff, and the in-phase
-    2x2 block gives
-
-        w_c = w_q - g_12 + 2 g_eff - g^2 / (g_eff - g_12),
-
-    rising monotonically to infinity as g_eff approaches g_12 from below.
-    Devices with g_1c != g_2c have no such decoupled state and are refused.
+    The in-phase 2x2 block has the level w_q - g_12 + 2 g_eff at
+    w_c = w_q - g_12 + 2 g_eff - g^2 / (g_eff - g_12), which rises
+    monotonically to infinity as g_eff approaches g_12 from below.
     """
-    g = spec.couplings
-    if g.g_1c != g.g_2c:
-        raise DeviceModelError(
-            f"the g_eff inverse needs equal qubit-coupler couplings, "
-            f"got g_1c = {g.g_1c} and g_2c = {g.g_2c} GHz"
-        )
+    g = _equal_coupling(spec)
     g_eff = np.asarray(g_eff, dtype=float)
+    g_12 = spec.couplings.g_12
     wq = 0.5 * (spec.q1.frequency + spec.q2.frequency)
-    return wq - g.g_12 + 2.0 * g_eff - g.g_1c ** 2 / (g_eff - g.g_12)
+    return wq - g_12 + 2.0 * g_eff - g ** 2 / (g_eff - g_12)
 
 
 def zero_coupling_point(spec: DeviceSpec) -> float:

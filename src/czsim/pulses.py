@@ -115,7 +115,7 @@ def sample_pulse(spec: PulseShapeSpec, dt: float = DEFAULT_DT) -> SampledWavefor
 class CouplingInverter:
     """Inverse of g_eff(w_c) on the monotone branch above the qubits.
 
-    Each value is mapped exactly by coupler_frequency_at_coupling.  The
+    Every sample is mapped by coupler_frequency_at_coupling.  The
     attainable range is [g_eff(upper qubit + 0.05 GHz), g_eff(60 GHz)]; a
     value outside it, or one whose residual |g_eff(w_c) - target| exceeds
     tol (GHz), raises PulseError.
@@ -146,9 +146,7 @@ class CouplingInverter:
     def __call__(self, waveform: SampledWaveform) -> SampledWaveform:
         if waveform.parameterization != "effective_coupling":
             raise PulseError("waveform must be parameterized as effective_coupling")
-        targets, inverse = np.unique(waveform.samples, return_inverse=True)
-        solved = self.invert_values(targets)
-        return SampledWaveform(dt=waveform.dt, samples=solved[inverse],
+        return SampledWaveform(dt=waveform.dt, samples=self.invert_values(waveform.samples),
                                parameterization="coupler_frequency")
 
 
@@ -166,7 +164,7 @@ def waveform_from_csv(path) -> SampledWaveform:
     """Read a waveform written by waveform_to_csv.
 
     Raises PulseError unless the file has a parameterization header and at
-    least two rows of (t_ns, value_ghz) on a uniform time grid.
+    least two rows of (t_ns, value_ghz) on a uniform time grid from t = 0.
     """
     parameterization = None
     with open(path) as f:
@@ -179,7 +177,9 @@ def waveform_from_csv(path) -> SampledWaveform:
     if data.shape[0] < 2 or data.shape[1] != 2:
         raise PulseError(f"{path}: need at least two rows of t_ns,value_ghz, got shape {data.shape}")
     t = data[:, 0]
-    dt = float(t[1] - t[0])
+    if t[0] != 0.0:
+        raise PulseError(f"{path}: times must start at 0, got {t[0]} ns")
+    dt = float(t[1])
     # The times are written to 12 significant digits, far inside this tolerance.
     if not np.allclose(np.diff(t), dt, rtol=1e-6, atol=0.0):
         raise PulseError(f"{path}: times are not on a uniform grid of spacing {dt} ns")

@@ -14,11 +14,11 @@ from czsim.calibration import (
     phase_scan,
     repeated_gate_scan,
 )
-from czsim.device import build_hamiltonian
-from czsim.distortion import DistortionModel
+from czsim.device import build_hamiltonian, zero_coupling_point
+from czsim.distortion import DistortionModel, apply_distortion
 from czsim.metrics import gate_report, project_computational
 from czsim.propagator import propagate
-from czsim.pulses import PulseShapeSpec
+from czsim.pulses import PulseShapeSpec, SampledWaveform
 from helpers import with_levels
 
 
@@ -187,12 +187,13 @@ def test_build_schedule_applies_predistortion(run_config):
     wf_plain = plain.build_schedule(pulse).coupler_trajectory.samples
     wf_lined = lined.build_schedule(pulse).coupler_trajectory.samples
     assert np.max(np.abs(wf_plain - wf_lined)) > 1e-5
-    from czsim.distortion import apply_distortion
-    from czsim.pulses import SampledWaveform
-
+    # The filter assumes a line settled at 0, so it acts on the excursion
+    # from idle and the schedule starts exactly at idle.
+    idle = zero_coupling_point(run_config.device)
+    assert wf_lined[0] == idle
     recovered = apply_distortion(model, SampledWaveform(
-        run_config.dt, wf_lined, "coupler_frequency")).samples
-    assert np.max(np.abs(recovered - wf_plain)) < 1e-9
+        run_config.dt, wf_lined - idle, "coupler_frequency")).samples
+    assert np.max(np.abs(idle + recovered - wf_plain)) < 1e-9
 
 
 def test_calibrated_gate_quality(calibrated_gate):

@@ -381,7 +381,8 @@ def test_cli_predistort_round_trip(tmp_path):
 @pytest.mark.parametrize("rows, message", [
     ([(0.0, 6.327)], "at least two rows"),
     ([(0.0, 6.327), (0.05, 6.3), (0.5, 6.3), (0.55, 6.327)], "not on a uniform grid"),
-], ids=["one_row", "nonuniform_times"])
+    ([(5.0, 6.327), (5.05, 6.3), (5.1, 6.3), (5.15, 6.327)], "times must start at 0"),
+], ids=["one_row", "nonuniform_times", "shifted_origin"])
 def test_cli_predistort_refuses_malformed_waveform_exit_1(tmp_path, capsys, rows, message):
     path = _write_cfg(tmp_path, {
         "distortion": {"settling_terms": [{"amplitude": -0.08,

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from czsim.device import (
@@ -13,7 +13,32 @@ from czsim.device import (
     effective_coupling_batch,
     zero_coupling_point,
 )
-from helpers import with_levels
+from czsim.pulses import CouplingInverter
+from helpers import eigen_effective_coupling, with_levels
+
+
+@st.composite
+def equal_coupling_devices(draw):
+    """Devices with g_1c = g_2c and a zero-coupling point above the qubits."""
+    w1 = draw(st.floats(4.0, 6.0))
+    w2 = w1 + draw(st.floats(-0.4, 0.4))
+    g = draw(st.floats(0.03, 0.15))
+    g_12 = draw(st.floats(0.002, 0.02))
+    # g_eff depends on neither the coupler's frequency nor any anharmonicity.
+    modes = (ModeSpec("Q1", w1, -0.2), ModeSpec("C", 7.0, -0.1), ModeSpec("Q2", w2, -0.2))
+    spec = DeviceSpec(modes, CouplingGraph(g_1c=g, g_2c=g, g_12=g_12))
+    try:
+        zero_coupling_point(spec)
+    except DeviceModelError:
+        assume(False)
+    return spec
+
+
+def _branch_grid(spec):
+    """Coupler frequencies from just above the upper qubit to 60 GHz."""
+    upper = max(spec.q1.frequency, spec.q2.frequency)
+    return np.concatenate([upper + np.geomspace(0.011, 1.0, 200),
+                           np.linspace(upper + 1.0, 60.0, 2000)])
 
 
 def test_default_device_layout(device):
@@ -113,8 +138,30 @@ def test_effective_coupling_monotone_on_branch(device):
 
 
 def test_effective_coupling_resonance_guard(device):
-    with pytest.raises(DeviceModelError):
-        effective_coupling_batch(device, [device.q1.frequency + 0.005])
+    # The model covers only the branch above the qubits.
+    for wc in (device.q1.frequency + 0.005, 5.0, 4.0):
+        with pytest.raises(DeviceModelError, match="above the upper qubit"):
+            effective_coupling_batch(device, [7.0, wc])
+
+
+def test_effective_coupling_matches_eigen_reference(device):
+    wc = _branch_grid(device)
+    assert np.max(np.abs(effective_coupling_batch(device, wc)
+                         - eigen_effective_coupling(device, wc))) <= 1e-13
+
+
+@given(spec=equal_coupling_devices())
+@settings(max_examples=40, deadline=None)
+def test_effective_coupling_closed_form_on_drawn_devices(spec):
+    wc = _branch_grid(spec)
+    assert np.max(np.abs(effective_coupling_batch(spec, wc)
+                         - eigen_effective_coupling(spec, wc))) <= 1e-13
+    assert abs(effective_coupling_batch(spec, [zero_coupling_point(spec)])[0]) <= 1e-13
+    # forward(inverse(t)) = t across the attainable range.
+    upper = max(spec.q1.frequency, spec.q2.frequency)
+    targets = np.linspace(*effective_coupling_batch(spec, [upper + 0.05, 60.0]), 2001)
+    wc = CouplingInverter(spec).invert_values(targets)
+    assert np.max(np.abs(effective_coupling_batch(spec, wc) - targets)) <= 1e-12
 
 
 def test_zero_coupling_point(device):

@@ -114,6 +114,8 @@ def test_coupling_inverse_refuses_unequal_couplings(device):
     with pytest.raises(DeviceModelError, match="g_1c = 0.09 and g_2c = 0.08"):
         zero_coupling_point(unequal)
     with pytest.raises(DeviceModelError, match="g_1c = 0.09 and g_2c = 0.08"):
+        effective_coupling_batch(unequal, [7.0])
+    with pytest.raises(DeviceModelError, match="g_1c = 0.09 and g_2c = 0.08"):
         CouplingInverter(unequal).invert_values([0.0])
     # Every pulse is a g_eff excursion, so no gate runs on such a device.
     with pytest.raises(DeviceModelError, match="g_1c = 0.09 and g_2c = 0.08"):
