@@ -42,21 +42,41 @@ _LAYER_TABLE = {
     1: _GATES,
     2: np.stack([np.kron(a, b) for a in _GATES for b in _GATES]),
 }
+_LABEL_OF = {name: i for i, name in enumerate(GATE_NAMES)}
+_LABEL_WEIGHTS = {n: len(GATE_NAMES) ** np.arange(n - 1, -1, -1) for n in _LAYER_TABLE}
 
 
-def _layer_unitaries(labels: np.ndarray, two_qubit: np.ndarray | None = None) -> np.ndarray:
-    """Gather each layer's unitary from _LAYER_TABLE by label index.
+def _layer_table(n_qubits: int, two_qubit: np.ndarray | None = None) -> np.ndarray:
+    """_LAYER_TABLE[n_qubits], each entry followed by two_qubit when given.
 
-    labels has shape (..., n_qubits) and the result (..., D, D).  A
-    two-qubit gate, when given, follows every pi/2 layer of a two-qubit
-    circuit; it is applied to the table's 16 entries before the gather.
+    The two-qubit gate follows every pi/2 layer of a two-qubit circuit, so
+    it is ignored for one qubit.  The result has shape (4**n_qubits, D, D).
     """
-    n_qubits = labels.shape[-1]
     table = _LAYER_TABLE[n_qubits]
     if two_qubit is not None and n_qubits == 2:
         table = two_qubit @ table
-    index = labels @ len(GATE_NAMES) ** np.arange(n_qubits - 1, -1, -1)
-    return table[index]
+    return table
+
+
+def _layer_index(labels: np.ndarray) -> np.ndarray:
+    """Table index of each layer: labels (..., n_qubits) -> (...)."""
+    return labels @ _LABEL_WEIGHTS[labels.shape[-1]]
+
+
+def _channel_table(unitaries: np.ndarray, p: float) -> np.ndarray:
+    """Each layer map U as a superoperator on row-major vec(rho), then depolarized.
+
+    S = D_p (U (x) U*) with D_p = (1 - p) I + (p / D) |I><I|, so that
+    S vec(rho) = vec((1 - p) U rho U^+ + p Tr(U rho U^+) I / D).  Exact for
+    a leaky, non-unitary U too: the trace row <I| S carries its loss.
+    """
+    n, dim, _ = unitaries.shape
+    table = unitaries[:, :, None, :, None] * unitaries.conj()[:, None, :, None, :]
+    table = table.reshape(n, dim * dim, dim * dim)
+    trace_row = table[:, ::dim + 1].sum(axis=1)
+    table *= 1.0 - p
+    table[:, ::dim + 1] += (p / dim) * trace_row[:, None]
+    return table
 
 
 @dataclass(frozen=True)
@@ -69,6 +89,9 @@ class NoiseSpec:
 
     depolarizing_per_cycle: float = 0.0
     readout_confusion: dict[int, np.ndarray] = field(default_factory=dict)
+    # confusion_map's result by qubit count, built on first use.
+    _confusion_maps: dict[int, np.ndarray] = field(default_factory=dict, init=False,
+                                                   repr=False, compare=False)
 
     def __post_init__(self):
         p = self.depolarizing_per_cycle
@@ -95,13 +118,16 @@ class NoiseSpec:
         return cls(depolarizing_per_cycle=depolarizing_per_cycle, readout_confusion=confusion)
 
     def confusion_map(self, n_qubits: int) -> np.ndarray | None:
+        """The read-only D x D confusion matrix of qubits 0 .. n_qubits - 1."""
         if not self.readout_confusion:
             return None
-        mats = [np.asarray(self.readout_confusion.get(q, np.eye(2))) for q in range(n_qubits)]
-        full = mats[0]
-        for m in mats[1:]:
-            full = np.kron(full, m)
-        return full
+        if n_qubits not in self._confusion_maps:
+            full = np.ones((1, 1))
+            for q in range(n_qubits):
+                full = np.kron(full, self.readout_confusion.get(q, np.eye(2)))
+            full.setflags(write=False)
+            self._confusion_maps[n_qubits] = full
+        return self._confusion_maps[n_qubits]
 
 
 @dataclass(frozen=True)
@@ -120,7 +146,7 @@ def generate_circuit(n_qubits: int, depth: int, seed: int, include_cz: bool = Tr
     """One circuit drawn by the batch rule: batch_random_labels(1, depth, n_qubits, seed)."""
     if n_qubits not in (1, 2):
         raise BenchmarkingError("only 1- and 2-qubit circuits are supported")
-    labels = batch_random_labels(1, depth, n_qubits, seed)[:, 0]
+    labels = batch_random_labels(1, depth, n_qubits, seed)[:, 0].tolist()
     return RandomCircuit(n_qubits=n_qubits, depth=depth,
                          single_qubit_layers=tuple(tuple(GATE_NAMES[i] for i in layer)
                                                    for layer in labels),
@@ -132,26 +158,25 @@ def simulate_circuit(circuit: RandomCircuit, noise: NoiseSpec | None = None,
     """Exact ideal probabilities and noisy outcome probabilities.
 
     The ideal path is batch_ideal_probs on this one circuit.  The noisy
-    path evolves a density matrix, applying the (possibly device-backed,
-    possibly leaky) CZ map, a global depolarizing channel once per cycle,
-    and finally the readout confusion.
+    path evolves vec(rho) through one superoperator per cycle, gathered by
+    label from _channel_table: the pi/2 layer, the (possibly device-backed,
+    possibly leaky) CZ map and a global depolarizing channel.  The readout
+    confusion acts on the final probabilities.
     """
-    labels = np.array([[GATE_NAMES.index(g) for g in layer]
-                       for layer in circuit.single_qubit_layers])
+    labels = np.array([[_LABEL_OF[g] for g in layer] for layer in circuit.single_qubit_layers])
     ideal = batch_ideal_probs(labels[:, None], include_cz=circuit.include_cz)[0]
 
     noise = noise or NoiseSpec()
-    p = noise.depolarizing_per_cycle
     dim = 2 ** circuit.n_qubits
     two_qubit = (CZ if cz_gate is None else cz_gate) if circuit.include_cz else None
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[0, 0] = 1.0
-    for u in _layer_unitaries(labels, two_qubit):
-        rho = u @ rho @ u.conj().T
-        if p > 0.0:
-            rho = (1.0 - p) * rho + p * np.trace(rho).real * np.eye(dim) / dim
+    channels = _channel_table(_layer_table(circuit.n_qubits, two_qubit),
+                              noise.depolarizing_per_cycle)
+    rho = np.zeros(dim * dim, dtype=complex)
+    rho[0] = 1.0
+    for channel in channels[_layer_index(labels)]:
+        rho = channel @ rho
     # Round-off leaves some diagonal entries at about -1e-17; shot sampling refuses them.
-    noisy = np.clip(np.real(np.diag(rho)), 0.0, None)
+    noisy = np.clip(rho[::dim + 1].real, 0.0, None)
     total = noisy.sum()
     if total > 0:
         noisy = noisy / total  # renormalize away leakage loss of a leaky CZ map
@@ -362,20 +387,23 @@ def batch_random_labels(n_circuits: int, depth: int, n_qubits: int, seed: int) -
     rng = np.random.default_rng(seed)
     labels = np.empty((depth, n_circuits, n_qubits), dtype=np.int64)
     labels[0] = rng.integers(len(GATE_NAMES), size=(n_circuits, n_qubits))
-    for d in range(1, depth):
-        step = rng.integers(1, len(GATE_NAMES), size=(n_circuits, n_qubits))
-        labels[d] = (labels[d - 1] + step) % len(GATE_NAMES)
+    # Every step in one draw, then each layer as the running sum mod 4.
+    labels[1:] = rng.integers(1, len(GATE_NAMES), size=(depth - 1, n_circuits, n_qubits))
+    np.cumsum(labels, axis=0, out=labels)
+    labels &= 3  # mod 4
     return labels
 
 
 def batch_ideal_probs(labels: np.ndarray, include_cz: bool = True) -> np.ndarray:
     """Exact output probabilities for a batch of circuits, shape (n, D)."""
-    depth, n_circuits, n_qubits = labels.shape
-    two_qubit = CZ if include_cz else None
+    _, n_circuits, n_qubits = labels.shape
+    table = _layer_table(n_qubits, CZ if include_cz else None)
     psi = np.zeros((n_circuits, 2 ** n_qubits), dtype=complex)
     psi[:, 0] = 1.0
-    for d in range(depth):
-        psi = np.einsum("nij,nj->ni", _layer_unitaries(labels[d], two_qubit), psi)
+    # One layer at a time: gathering every layer's unitaries at once would
+    # hold depth x n_circuits matrices.
+    for layer in labels:
+        psi = np.einsum("nij,nj->ni", table[_layer_index(layer)], psi)
     return np.abs(psi) ** 2
 
 

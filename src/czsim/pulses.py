@@ -31,7 +31,8 @@ class PulseShapeSpec:
     The pulse runs in effective coupling g_eff from 0, the idle of a
     coupler at its zero-coupling point, to peak_value (GHz) and back.
     length is in ns.  slepian_coefficients are the Fourier weights of the
-    fast-adiabatic ramp rate (slepian family only).
+    fast-adiabatic ramp rate (slepian family only).  Only their ratios
+    shape the ramp, so a slepian spec stores them normalized to sum 1.
     """
 
     family: str
@@ -44,8 +45,14 @@ class PulseShapeSpec:
             raise PulseError(f"unknown pulse family {self.family!r}")
         if not self.length > 0:
             raise PulseError("pulse length must be positive")
-        if self.family == "slepian" and abs(sum(self.slepian_coefficients)) < 1e-12:
-            raise PulseError("slepian coefficients must not sum to zero")
+        if self.family == "slepian":
+            total = sum(self.slepian_coefficients)
+            if abs(total) < 1e-12:
+                raise PulseError("slepian coefficients must not sum to zero")
+            # A tuple normalized up to round-off is kept, so replace() leaves it be.
+            if abs(total - 1.0) > 1e-12:
+                object.__setattr__(self, "slepian_coefficients",
+                                   tuple(c / total for c in self.slepian_coefficients))
 
 
 @dataclass(frozen=True)
@@ -78,14 +85,14 @@ class SampledWaveform:
 def _slepian_ramp(u: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
     """Fast-adiabatic ramp r(u) on [0, 1] with r(0)=0, r(1)=1, r'(0)=r'(1)=0.
 
-    The ramp rate is sum_k lam_k (1 - cos(2 pi k u)); integrating and
-    normalizing gives r(u) = sum_k lam_k (u - sin(2 pi k u)/(2 pi k)) / sum_k lam_k.
+    The ramp rate is sum_k lam_k (1 - cos(2 pi k u)); integrating gives
+    r(u) = sum_k lam_k (u - sin(2 pi k u)/(2 pi k)), which ends at 1 for
+    the normalized weights (sum_k lam_k = 1) that PulseShapeSpec stores.
     """
-    total = sum(coeffs)
     r = np.zeros_like(u)
     for k, lam in enumerate(coeffs, start=1):
         r += lam * (u - np.sin(2.0 * np.pi * k * u) / (2.0 * np.pi * k))
-    return r / total
+    return r
 
 
 def sample_pulse(spec: PulseShapeSpec, dt: float = DEFAULT_DT) -> SampledWaveform:

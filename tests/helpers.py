@@ -1,9 +1,10 @@
-"""Schedule and device transformations that only the tests use."""
+"""Reference computations and transformations that only the tests use."""
 
 from dataclasses import replace
 
 import numpy as np
 
+from czsim.benchmarking import CZ, GATE_MATRICES, NoiseSpec
 from czsim.device import DeviceSpec
 from czsim.propagator import ControlSchedule
 from czsim.pulses import SampledWaveform
@@ -52,3 +53,50 @@ def eigen_effective_coupling(spec: DeviceSpec, coupler_frequencies) -> np.ndarra
     nearest = np.argmin(np.abs(levels - anti_phase), axis=-1)
     others = np.where(np.arange(3) == nearest[..., None], np.inf, levels)
     return 0.5 * (others.min(axis=-1) - anti_phase)
+
+
+def looped_random_labels(n_circuits: int, depth: int, n_qubits: int, seed: int) -> np.ndarray:
+    """The label rule drawn one layer at a time: a uniform first layer,
+    then each layer the previous one plus a step drawn from [1, 4), mod 4."""
+    rng = np.random.default_rng(seed)
+    labels = np.empty((depth, n_circuits, n_qubits), dtype=np.int64)
+    labels[0] = rng.integers(4, size=(n_circuits, n_qubits))
+    for d in range(1, depth):
+        step = rng.integers(1, 4, size=(n_circuits, n_qubits))
+        labels[d] = (labels[d - 1] + step) % 4
+    return labels
+
+
+def looped_circuit_probs(circuit, noise=None, cz_gate=None) -> tuple[np.ndarray, np.ndarray]:
+    """Ideal and noisy outcome probabilities of a RandomCircuit, layer by layer.
+
+    The ideal state is a statevector through explicit Kronecker products
+    and the labeled CZ.  The noisy state is a density matrix: each cycle
+    applies the layer and the (possibly leaky) two-qubit map, then the
+    global depolarizing channel rho -> (1 - p) rho + p Tr(rho) I / D; the
+    diagonal is renormalized and the readout confusion applied last.
+    """
+    noise = noise or NoiseSpec()
+    p = noise.depolarizing_per_cycle
+    dim = 2 ** circuit.n_qubits
+    gate = CZ if cz_gate is None else np.asarray(cz_gate)
+    psi = np.zeros(dim, dtype=complex)
+    psi[0] = 1.0
+    rho = np.outer(psi, psi)
+    for layer in circuit.single_qubit_layers:
+        u = GATE_MATRICES[layer[0]]
+        for name in layer[1:]:
+            u = np.kron(u, GATE_MATRICES[name])
+        v = u
+        if circuit.include_cz:
+            u, v = CZ @ u, gate @ u
+        psi = u @ psi
+        rho = v @ rho @ v.conj().T
+        if p > 0.0:
+            rho = (1.0 - p) * rho + p * np.trace(rho).real * np.eye(dim) / dim
+    noisy = np.clip(np.real(np.diag(rho)), 0.0, None)
+    noisy = noisy / noisy.sum()
+    confusion = noise.confusion_map(circuit.n_qubits)
+    if confusion is not None:
+        noisy = confusion @ noisy
+    return np.abs(psi) ** 2, noisy

@@ -23,6 +23,7 @@ from czsim.benchmarking import (
     virtual_z_corrected_cz,
 )
 from czsim.metrics import VirtualZAngles, cz_target
+from helpers import looped_circuit_probs, looped_random_labels
 
 
 def test_gate_matrices_unitary():
@@ -57,6 +58,11 @@ def test_noise_spec_validation():
     full = spec.confusion_map(2)
     assert full.shape == (4, 4)
     assert np.allclose(full.sum(axis=0), 1.0)
+    assert np.array_equal(full, np.kron(spec.readout_confusion[0], spec.readout_confusion[1]))
+    # Built once per qubit count, and shared read-only.
+    assert spec.confusion_map(2) is full and not full.flags.writeable
+    assert np.array_equal(spec.confusion_map(1), spec.readout_confusion[0])
+    assert NoiseSpec(0.01).confusion_map(2) is None
 
 
 def test_simulate_noiseless_matches_ideal():
@@ -190,6 +196,44 @@ def test_batch_labels_match_rules():
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("n_circuits, depth, n_qubits", [
+    (1, 1, 2), (1, 30, 2), (1, 7, 1), (50, 12, 2), (1000, 20, 2), (1200, 9, 1)])
+def test_batch_labels_match_layer_by_layer_draw(n_circuits, depth, n_qubits):
+    for seed in (0, 1, 7, 123, 2 ** 31 - 1):
+        labels = batch_random_labels(n_circuits, depth, n_qubits, seed)
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, looped_random_labels(n_circuits, depth, n_qubits, seed))
+
+
+@st.composite
+def _xeb_cases(draw):
+    n_qubits = draw(st.sampled_from([1, 2]))
+    circuit = generate_circuit(n_qubits, draw(st.integers(1, 30)), draw(st.integers(0, 2 ** 32 - 1)))
+    confusion = {}
+    if draw(st.booleans()):
+        f = st.floats(0.9, 1.0)
+        confusion = NoiseSpec.from_fidelities(0.0, {q: draw(f) for q in range(2)},
+                                              {q: draw(f) for q in range(2)}).readout_confusion
+    noise = NoiseSpec(draw(st.floats(0.0, 0.05)), readout_confusion=confusion)
+    gate = None
+    if draw(st.booleans()):
+        # A leaky map: a random unitary shrunk by singular values below 1.
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        gate = q @ np.diag(rng.uniform(0.95, 1.0, 4))
+    return circuit, noise, gate
+
+
+@given(_xeb_cases())
+@settings(max_examples=200, deadline=None)
+def test_simulate_matches_density_matrix_loop(case):
+    circuit, noise, gate = case
+    ideal, noisy = simulate_circuit(circuit, noise, gate)
+    ideal_ref, noisy_ref = looped_circuit_probs(circuit, noise, gate)
+    assert np.max(np.abs(ideal - ideal_ref)) <= 1e-13
+    assert np.max(np.abs(noisy - noisy_ref)) <= 1e-13
+
+
 def test_batch_ideal_matches_simulate():
     # One label rule: generate_circuit draws exactly batch_random_labels'
     # single-circuit labels.  Both ideal paths must match a statevector
@@ -211,6 +255,21 @@ def test_batch_ideal_matches_simulate():
             assert np.allclose(ideal, np.abs(psi) ** 2, atol=1e-12)
             batch = batch_ideal_probs(labels, include_cz=circ.include_cz)
             assert np.allclose(batch[0], ideal, atol=1e-12)
+
+
+def test_batch_ideal_without_cz_matches_statevectors():
+    labels = batch_random_labels(20, 11, 2, seed=9)
+    batch = batch_ideal_probs(labels, include_cz=False)
+    for c in range(labels.shape[1]):
+        psi = np.zeros(4, dtype=complex)
+        psi[0] = 1.0
+        for a, b in labels[:, c]:
+            psi = np.kron(GATE_MATRICES[GATE_NAMES[a]], GATE_MATRICES[GATE_NAMES[b]]) @ psi
+        assert np.allclose(batch[c], np.abs(psi) ** 2, rtol=0, atol=1e-13)
+    circ = generate_circuit(2, 11, seed=9, include_cz=False)
+    ideal, noisy = simulate_circuit(circ)
+    assert np.allclose(ideal, looped_circuit_probs(circ)[0], rtol=0, atol=1e-13)
+    assert np.allclose(noisy, ideal, rtol=0, atol=1e-13)
 
 
 def test_speckle_purity_experiment_tracks_oracle():

@@ -61,6 +61,20 @@ def test_dt_too_coarse():
         sample_pulse(_spec(length=10.0), dt=1.0)
 
 
+def test_slepian_coefficient_scale_does_nothing():
+    one, two = _spec(slepian_coefficients=(1.0,)), _spec(slepian_coefficients=(2.0,))
+    assert one == two and one.slepian_coefficients == (1.0,)
+    assert np.array_equal(sample_pulse(one).samples, sample_pulse(two).samples)
+    # Ratios still shape the ramp; they are stored normalized to sum 1.
+    mixed = _spec(slepian_coefficients=(1.0, 0.5))
+    assert mixed.slepian_coefficients == pytest.approx((2.0 / 3.0, 1.0 / 3.0), abs=1e-15)
+    assert mixed != one
+    assert replace(mixed, peak_value=-0.03).slepian_coefficients == mixed.slepian_coefficients
+    wf = sample_pulse(mixed, dt=0.05)
+    assert wf.samples[400] == pytest.approx(-0.02, abs=1e-15)
+    assert not np.allclose(wf.samples, sample_pulse(one, dt=0.05).samples, atol=1e-6)
+
+
 def test_slepian_ramp_monotone():
     wf = sample_pulse(_spec(family="slepian", length=40.0), dt=0.05)
     up = wf.samples[:401]
