@@ -4,11 +4,14 @@ Controls are treated as piecewise linear between samples and each dt step
 is integrated with a fourth-order commutator-free Magnus rule.  Because
 the Hamiltonian is affine in the control offsets, the two exponentials of
 that rule are ordinary Hamiltonian exponentials with the controls
-evaluated at 1/6 and 5/6 of the step, so each substep is exponentiated
-exactly through its eigendecomposition and the propagator is unitary to
-round-off.  Results are reported in the frame co-rotating with the idle
-(static) Hamiltonian, whose phases are removed analytically after the
-integration; an idle schedule therefore maps to the identity exactly.
+evaluated at 1/6 and 5/6 of the step.  Each substep exponential
+exp(-i H dt/2) is a truncated Taylor series with scaling and squaring,
+evaluated for all distinct substeps at once in real batched matmuls
+(`_substep_unitaries`); its truncation error is below round-off, so the
+propagator is unitary to round-off.  Results are reported in the frame
+co-rotating with the idle (static) Hamiltonian, whose phases are removed
+analytically after the integration; an idle schedule therefore maps to
+the identity exactly.
 
 The Hamiltonian leaves a set of subspaces invariant for any control values
 (`HamiltonianTerms.blocks`; for the exchange-coupled model these are the
@@ -24,6 +27,7 @@ computational states, since no gate metric reads the rest.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 
@@ -32,9 +36,15 @@ from .pulses import SampledWaveform
 
 UNITARITY_TOLERANCE = 1e-9
 
-# Cap on the per-step phase advance contributed by the control offsets;
-# beyond this the midpoint sampling of the controls is unsafe.
+# Cap on the phase the control offsets advance over one dt/2 substep, the
+# span of one exponential of the Magnus rule.
 MAX_STEP_PHASE = np.pi
+
+# Unit round-off of float64: the Taylor degree of the substep exponential
+# is the smallest whose truncation bound theta^(m+1)/(m+1)! falls below it.
+_ROUND_OFF = 2.0 ** -53
+# Above this norm bound the exponent is scaled by 2^-s and squared back.
+_MAX_TAYLOR_NORM = 1.0
 
 
 class PropagationError(ValueError):
@@ -108,18 +118,102 @@ def _step_offsets(terms: HamiltonianTerms, schedule: ControlSchedule) -> dict[st
     return offsets
 
 
-def _check_step_size(terms: HamiltonianTerms, offsets: dict[str, np.ndarray], dt: float) -> None:
+def _check_step_size(terms: HamiltonianTerms, offsets: dict[str, np.ndarray],
+                     substep: float) -> None:
+    """Refuse a schedule whose controls are not finite, or advance
+    MAX_STEP_PHASE or more over one substep.
+
+    The recommended dt puts the substep phase (over dt/2) at half the cap.
+    """
     worst = 0.0
     for label, dw in offsets.items():
         levels = {m.label: m.levels for m in terms.spec.modes}[label]
         worst += np.max(np.abs(dw)) * (levels - 1) if len(dw) else 0.0
-    phase = TWO_PI * worst * dt
+    if not np.isfinite(worst):
+        raise PropagationError("control offsets must be finite")
+    phase = TWO_PI * worst * substep
     if phase >= MAX_STEP_PHASE:
-        recommended = 0.5 * MAX_STEP_PHASE / (TWO_PI * worst)
+        recommended = MAX_STEP_PHASE / (TWO_PI * worst)
         raise PropagationError(
-            f"per-step control phase {phase:.2f} rad exceeds {MAX_STEP_PHASE:.2f}; "
+            f"per-substep control phase {phase:.2f} rad exceeds {MAX_STEP_PHASE:.2f}; "
             f"use dt <= {recommended:.4f} ns"
         )
+
+
+def _distinct_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D table in lexicographic order, and the
+    position of each row among them: np.unique(table, axis=0,
+    return_inverse=True), sorted by np.lexsort on the columns instead of
+    on a structured view of the rows."""
+    order = np.lexsort(table.T[::-1])
+    ordered = table[order]
+    first = np.empty(len(table), dtype=bool)
+    first[:1] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    index = np.empty(len(table), dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    return ordered[first], index
+
+
+def _shift_diagonal(stack: np.ndarray, shift) -> None:
+    """Add `shift` (a scalar, or one value per matrix as shape (k, 1)) to
+    the diagonal of a C-contiguous stack of square matrices, in place."""
+    n = stack.shape[-1]
+    stack.reshape(len(stack), n * n)[:, ::n + 1] += shift
+
+
+def _polynomial(b: np.ndarray, coeffs: list[float]) -> np.ndarray:
+    """sum_j coeffs[j] b^j over a stack of matrices b, by Horner's rule
+    (len(coeffs) >= 2)."""
+    p = coeffs[-1] * b
+    for c in coeffs[-2:0:-1]:
+        _shift_diagonal(p, c)
+        p = p @ b
+    _shift_diagonal(p, coeffs[0])
+    return p
+
+
+def _substep_unitaries(h: np.ndarray, tau: float) -> np.ndarray:
+    """exp(-i h tau) for a stack of real symmetric matrices h, shape (k, n, n).
+
+    With mu = tr h / n and A = (h - mu) tau, exp(-i h tau) is
+    e^{-i mu tau} (cos A - i sin A).  cos A and sin A are Taylor series in
+    A^2, evaluated by Horner's rule in real batched matmuls, truncated at
+    the smallest degree m (at least 3) whose bound theta^(m+1)/(m+1)! is
+    below round-off, theta = max row-sum |A| over the stack.  When theta
+    exceeds _MAX_TAYLOR_NORM (1), A is scaled by 2^-s to theta <= 1 and
+    the result squared back s times by (C, S) -> (C^2 - S^2, 2 C S).  This
+    is the truncated Taylor method with scaling and squaring of Al-Mohy &
+    Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2010).
+    """
+    k, n, _ = h.shape
+    if k == 0:
+        return np.zeros(h.shape, dtype=complex)
+    mu = np.trace(h, axis1=1, axis2=2) / n
+    a = h.copy()
+    _shift_diagonal(a, -mu[:, None])
+    a *= tau
+    theta = float(np.abs(a).sum(axis=2).max())
+    squarings = 0
+    if theta > _MAX_TAYLOR_NORM:
+        squarings = int(np.ceil(np.log2(theta / _MAX_TAYLOR_NORM)))
+        a *= 2.0 ** -squarings
+        theta *= 2.0 ** -squarings
+    degree, bound = 3, theta ** 4 / factorial(4)
+    while bound > _ROUND_OFF:
+        degree += 1
+        bound *= theta / (degree + 1)
+    b = a @ a
+    cos = _polynomial(b, [(-1) ** j / factorial(2 * j) for j in range(degree // 2 + 1)])
+    sin = a @ _polynomial(b, [(-1) ** j / factorial(2 * j + 1)
+                              for j in range((degree + 1) // 2)])
+    for _ in range(squarings):
+        cos, sin = cos @ cos - sin @ sin, 2.0 * (cos @ sin)
+    u = np.empty(cos.shape, dtype=complex)
+    u.real = cos
+    np.negative(sin, out=u.imag)
+    u *= np.exp(-1j * tau * mu)[:, None, None]
+    return u
 
 
 def _evolve_blocks(terms: HamiltonianTerms, schedule: ControlSchedule,
@@ -135,10 +229,9 @@ def _evolve_blocks(terms: HamiltonianTerms, schedule: ControlSchedule,
     _check_step_size(terms, offsets, half_dt)
 
     # Symmetric pulses revisit the same control point many times, so
-    # diagonalize each distinct substep Hamiltonian only once.
+    # exponentiate each distinct substep Hamiltonian only once.
     labels = sorted(offsets)
-    points, index = np.unique(np.column_stack([offsets[label] for label in labels]),
-                              axis=0, return_inverse=True)
+    points, index = _distinct_rows(np.column_stack([offsets[label] for label in labels]))
     out = []
     for idx in blocks:
         sub = np.ix_(idx, idx)
@@ -146,11 +239,9 @@ def _evolve_blocks(terms: HamiltonianTerms, schedule: ControlSchedule,
         h = np.broadcast_to(h0, (len(points),) + h0.shape).copy()
         for col, label in enumerate(labels):
             h += TWO_PI * points[:, col, None, None] * terms.control_parts[label][sub]
-        evals, evecs = np.linalg.eigh(h)
         # Form the substep unitaries and contract them with a pairwise
         # (time-ordered) reduction, all in batched matmuls.
-        u = np.matmul(evecs * np.exp(-1j * evals * half_dt)[:, None, :],
-                      evecs.conj().transpose(0, 2, 1))[index]
+        u = _substep_unitaries(h, half_dt)[index]
         while len(u) > 1:
             if len(u) % 2:
                 u = np.concatenate([np.matmul(u[1:-1:2], u[0:-1:2]), u[-1:]])

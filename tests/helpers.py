@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 
 from czsim.benchmarking import CZ, GATE_MATRICES, NoiseSpec
-from czsim.device import DeviceSpec
-from czsim.propagator import ControlSchedule
+from czsim.device import TWO_PI, DeviceSpec, HamiltonianTerms, dressed_basis
+from czsim.propagator import ControlSchedule, PropagationResult, _step_offsets
 from czsim.pulses import SampledWaveform
 
 
@@ -100,3 +100,50 @@ def looped_circuit_probs(circuit, noise=None, cz_gate=None) -> tuple[np.ndarray,
     if confusion is not None:
         noisy = confusion @ noisy
     return np.abs(psi) ** 2, noisy
+
+
+def eigh_substep_unitaries(h: np.ndarray, tau: float) -> np.ndarray:
+    """exp(-i h tau) for a stack of real symmetric h, rebuilt from each
+    matrix's eigendecomposition: evecs diag(e^{-i evals tau}) evecs^T."""
+    evals, evecs = np.linalg.eigh(h)
+    return np.matmul(evecs * np.exp(-1j * evals * tau)[:, None, :],
+                     evecs.conj().transpose(0, 2, 1))
+
+
+def eigh_propagate(terms: HamiltonianTerms, schedule: ControlSchedule,
+                   blocks: tuple[np.ndarray, ...] | None = None) -> PropagationResult:
+    """`propagate` as it was before the batched Taylor exponential.
+
+    The same Magnus nodes, block split, pairwise time-ordered reduction and
+    idle frame, but the distinct substeps come from np.unique over the
+    node rows and each substep unitary from `eigh_substep_unitaries`.  No
+    step-size or unitarity guard is applied.
+    """
+    blocks = terms.blocks if blocks is None else blocks
+    dt = schedule.dt
+    offsets = _step_offsets(terms, schedule)
+    n_steps = len(schedule.coupler_trajectory.samples) - 1
+    labels = sorted(offsets)
+    points, index = np.unique(np.column_stack([offsets[label] for label in labels]),
+                              axis=0, return_inverse=True)
+    u_full = np.zeros((terms.dimension, terms.dimension), dtype=complex)
+    defect = 0.0
+    for idx in blocks:
+        sub = np.ix_(idx, idx)
+        h0 = terms.static_part[sub]
+        h = np.broadcast_to(h0, (len(points),) + h0.shape).copy()
+        for col, label in enumerate(labels):
+            h += TWO_PI * points[:, col, None, None] * terms.control_parts[label][sub]
+        u = eigh_substep_unitaries(h, 0.5 * dt)[index]
+        while len(u) > 1:
+            if len(u) % 2:
+                u = np.concatenate([np.matmul(u[1:-1:2], u[0:-1:2]), u[-1:]])
+            else:
+                u = np.matmul(u[1::2], u[0::2])
+        evals0, evecs0 = np.linalg.eigh(h0)
+        frame = (evecs0 * np.exp(1j * evals0 * dt * n_steps)) @ evecs0.conj().T
+        u_full[sub] = frame @ u[0]
+        defect = max(defect, float(np.max(np.abs(u_full[sub].conj().T @ u_full[sub]
+                                                 - np.eye(len(idx))))))
+    return PropagationResult(propagator=u_full, basis=dressed_basis(terms),
+                             unitarity_defect=defect, terms=terms)

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from czsim import propagator
 from czsim.calibration import (
     CalibrationError,
     GateContext,
@@ -16,10 +17,10 @@ from czsim.calibration import (
 )
 from czsim.device import build_hamiltonian, zero_coupling_point
 from czsim.distortion import DistortionModel, apply_distortion
-from czsim.metrics import gate_report, project_computational
+from czsim.metrics import gate_report, project_computational, wrap_angle
 from czsim.propagator import propagate
 from czsim.pulses import PulseShapeSpec, SampledWaveform
-from helpers import with_levels
+from helpers import eigh_propagate, with_levels
 
 
 def test_scan_grid_validation():
@@ -146,17 +147,46 @@ def test_gate_run_propagates_only_computational_blocks(gate_context, run_config,
 
 def test_gate_run_diagonalizes_no_block_above_six_states(gate_context, run_config, monkeypatch):
     # At 3 levels the N <= 2 sectors have 1, 3 and 6 states; the 7-state
-    # N = 3 sector must not be diagonalized for a gate.
-    sizes = []
+    # N = 3 sector must be neither exponentiated step by step nor
+    # diagonalized for its idle frame for a gate.
+    substep_sizes, frame_sizes = [], []
+    substep_unitaries = propagator._substep_unitaries
     eigh = np.linalg.eigh
 
-    def recording(a, *args, **kwargs):
-        sizes.append(np.shape(a)[-1])
+    def recording_substeps(h, tau):
+        substep_sizes.append(h.shape[-1])
+        return substep_unitaries(h, tau)
+
+    def recording_eigh(a, *args, **kwargs):
+        frame_sizes.append(np.shape(a)[-1])
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", recording)
+    monkeypatch.setattr(propagator, "_substep_unitaries", recording_substeps)
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     gate_context.run(replace(run_config.pulse, peak_value=PINNED_PEAK), PINNED_DETUNE)
-    assert sizes and max(sizes) <= 6
+    assert sorted(substep_sizes) == [1, 3, 6]
+    assert frame_sizes and max(frame_sizes) <= 6
+
+
+@pytest.mark.parametrize("family", ["slepian", "cosine", "square"])
+@pytest.mark.parametrize("dt", [0.05, 0.2])
+def test_propagate_matches_eigh_reference(run_config, family, dt):
+    """The batched Taylor exponential against the eigendecomposition
+    kernel it replaced, on the gate blocks and on the full space; at dt 0.2
+    the substep norm bound is ~1.4, so the scaled branch runs."""
+    ctx = GateContext(run_config.device, dt=dt)
+    for length, peak in ((30.0, -0.0255), (45.0, PINNED_PEAK), (60.0, -0.0175)):
+        pulse = replace(run_config.pulse, family=family, length=length, peak_value=peak)
+        schedule = ctx.build_schedule(pulse, PINNED_DETUNE)
+        for blocks in (ctx.blocks, ctx.terms.blocks):
+            new = propagate(ctx.terms, schedule, basis=ctx.basis, blocks=blocks)
+            old = eigh_propagate(ctx.terms, schedule, blocks)
+            assert np.max(np.abs(new.propagator - old.propagator)) <= 1e-11
+            assert new.unitarity_defect <= old.unitarity_defect
+            a, b = gate_report(new), gate_report(old)
+            assert abs(a.fidelity - b.fidelity) <= 1e-11
+            assert abs(a.leakage_from_11 - b.leakage_from_11) <= 1e-11
+            assert np.degrees(abs(wrap_angle(a.conditional_phase - b.conditional_phase))) <= 1e-9
 
 
 def test_schedule_below_compensation_table_rejected(gate_context):

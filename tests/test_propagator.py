@@ -1,14 +1,23 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from czsim.device import build_hamiltonian
 from czsim.metrics import computational_blocks
-from czsim.propagator import ControlSchedule, PropagationError, propagate
+from czsim.propagator import (
+    ControlSchedule,
+    PropagationError,
+    _distinct_rows,
+    _substep_unitaries,
+    propagate,
+)
 from czsim.pulses import CouplingInverter, PulseShapeSpec, SampledWaveform, sample_pulse
-from helpers import refine_schedule, with_levels
+from helpers import eigh_substep_unitaries, refine_schedule, with_levels
 
 
 def _idle_schedule(terms, length, dt):
@@ -87,6 +96,88 @@ def test_step_size_guard(terms):
                            "coupler_frequency")
     with pytest.raises(PropagationError):
         propagate(terms, ControlSchedule(coupler_trajectory=wild))
+
+
+def test_step_size_guard_recommends_a_dt_that_propagates(terms):
+    # A coupler held 0.3 GHz below idle advances 2 pi * 0.3 * (levels - 1)
+    # rad/ns.  The recommended dt puts the dt/2 substep phase at half the
+    # cap, so that dt propagates and 2.5 times it is refused again.
+    wc = terms.spec.coupler.frequency - 0.3
+
+    def held(dt, length=20.0):
+        n = int(round(length / dt)) + 1
+        return ControlSchedule(SampledWaveform(dt, np.full(n, wc), "coupler_frequency"))
+
+    with pytest.raises(PropagationError, match="use dt <=") as refusal:
+        propagate(terms, held(2.0))
+    recommended = float(re.search(r"use dt <= ([0-9.]+) ns", str(refusal.value)).group(1))
+    assert recommended == pytest.approx(1.0 / (2.0 * 0.3 * 2), rel=1e-3)
+    assert propagate(terms, held(recommended)).unitarity_defect < 1e-9
+    with pytest.raises(PropagationError):
+        propagate(terms, held(2.5 * recommended))
+
+
+@pytest.mark.parametrize("label", ["C", "Q2"])
+def test_nan_controls_refused(terms, label):
+    # A NaN control makes its substep unitaries NaN, and a NaN unitarity
+    # defect passes the guard, so propagate refuses it up front.
+    schedule = _idle_schedule(terms, length=1.0, dt=0.05)
+    samples = schedule.coupler_trajectory.samples.copy()
+    offsets = {"Q2": _constant_offset(0.0, schedule.coupler_trajectory)}
+    if label == "C":
+        samples[5] = np.nan
+    else:
+        offsets["Q2"].samples[5] = np.nan
+    schedule = ControlSchedule(replace(schedule.coupler_trajectory, samples=samples), offsets)
+    with pytest.raises(PropagationError, match="finite"):
+        propagate(terms, schedule)
+
+
+@given(
+    n=st.integers(1, 8),
+    count=st.integers(0, 12),
+    theta=st.floats(0.0, 8.0),
+    shift=st.floats(-4.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_substep_exponential_matches_eigh(n, count, theta, shift, seed):
+    # Random real symmetric stacks with max row-sum |(h - tr h / n) tau| =
+    # theta, so theta > 1 runs the scaled-and-squared branch, and a trace
+    # phase tau * tr h / n = shift.
+    tau = 0.025
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(count, n, n))
+    a = x + x.transpose(0, 2, 1)
+    a -= np.trace(a, axis1=1, axis2=2)[:, None, None] / n * np.eye(n)
+    norm = np.max(np.abs(a).sum(axis=2), initial=0.0)
+    if norm > 0.0:
+        a *= theta / norm
+    h = (a + shift * np.eye(n)) / tau
+    u = _substep_unitaries(h, tau)
+    assert u.shape == h.shape
+    assert np.max(np.abs(u - eigh_substep_unitaries(h, tau)), initial=0.0) <= 1e-13
+    defect = np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(n))
+    assert np.max(defect, initial=0.0) <= 1e-13
+
+
+@pytest.mark.parametrize("columns", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_distinct_rows_match_numpy_unique(columns, seed):
+    # Rows drawn from a small pool repeat; some entries are -0.0, which
+    # equals 0.0 as the pool's zero entries do.
+    rng = np.random.default_rng(seed)
+    pool = rng.normal(size=(12, columns))
+    pool[rng.random(pool.shape) < 0.3] = 0.0
+    table = pool[rng.integers(len(pool), size=400)]
+    table[rng.random(table.shape) < 0.05] = -0.0
+    table[0] = -0.0
+    table[-1] = 0.0
+    points, index = _distinct_rows(table)
+    expected_points, expected_index = np.unique(table, axis=0, return_inverse=True)
+    assert np.array_equal(points, expected_points)
+    assert np.array_equal(index, expected_index)
+    assert np.array_equal(points[index], table)
 
 
 def test_qubit_offsets_shift_phase(device, terms):
