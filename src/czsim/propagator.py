@@ -13,6 +13,18 @@ co-rotating with the idle (static) Hamiltonian, whose phases are removed
 analytically after the integration; an idle schedule therefore maps to
 the identity exactly.
 
+The product of the substep unitaries is contracted by their structure.
+When every control (the coupler trajectory and each qubit offset) equals
+its own reverse exactly (`np.array_equal`, no tolerance), the substeps run
+in palindromic order; each substep unitary of a real symmetric H is complex
+symmetric, so with V the product over the first half the lab-frame
+propagator is V^T V, and only the first half is exponentiated and reduced.
+`czsim.pulses.sample_pulse` mirrors its samples to the bit, so every
+built-in gate takes this path; any other schedule (a predistorted one, a
+user waveform) takes the full product.  Each run of equal consecutive
+substeps, of any length above 1, is raised to its length by binary
+powering, batched over the runs, before the time-ordered reduction.
+
 The Hamiltonian leaves a set of subspaces invariant for any control values
 (`HamiltonianTerms.blocks`; for the exchange-coupled model these are the
 sectors of fixed total excitation number), so each step is exponentiated
@@ -216,6 +228,22 @@ def _substep_unitaries(h: np.ndarray, tau: float) -> np.ndarray:
     return u
 
 
+def _run_powers(u: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """u[j] raised to the power lengths[j] >= 1, for a stack of matrices,
+    by binary powering batched over the stack: one squaring per bit of the
+    longest length, and none when every length is 1."""
+    out = u.copy()
+    rest = lengths - 1
+    base = u
+    while True:
+        odd = (rest & 1).astype(bool)
+        out[odd] = np.matmul(base[odd], out[odd])
+        rest >>= 1
+        if not rest.any():
+            return out
+        base = np.matmul(base, base)
+
+
 def _evolve_blocks(terms: HamiltonianTerms, schedule: ControlSchedule,
                    blocks: tuple[np.ndarray, ...]) -> list[np.ndarray]:
     """The schedule's idle-frame propagator on each of the given blocks."""
@@ -228,10 +256,23 @@ def _evolve_blocks(terms: HamiltonianTerms, schedule: ControlSchedule,
     total_t = dt * n_steps
     _check_step_size(terms, offsets, half_dt)
 
-    # Symmetric pulses revisit the same control point many times, so
-    # exponentiate each distinct substep Hamiltonian only once.
+    # A schedule whose every control is its own mirror image runs its
+    # substeps in palindromic order, and each substep unitary is complex
+    # symmetric, so the second half of the product is the transpose of the
+    # first: only the first n_steps substeps are evolved.
+    controls = [schedule.coupler_trajectory.samples]
+    controls += [wf.samples for wf in (schedule.qubit_offsets or {}).values()]
+    palindrome = all(np.array_equal(c, c[::-1]) for c in controls)
+    if palindrome:
+        offsets = {label: nodes[:n_steps] for label, nodes in offsets.items()}
+
+    # Exponentiate each distinct substep Hamiltonian only once, and each
+    # run of equal consecutive substeps as one power of its unitary.
     labels = sorted(offsets)
     points, index = _distinct_rows(np.column_stack([offsets[label] for label in labels]))
+    starts = np.flatnonzero(np.concatenate(([True], index[1:] != index[:-1])))
+    lengths = np.diff(np.append(starts, len(index)))
+    long = lengths > 1
     out = []
     for idx in blocks:
         sub = np.ix_(idx, idx)
@@ -239,21 +280,24 @@ def _evolve_blocks(terms: HamiltonianTerms, schedule: ControlSchedule,
         h = np.broadcast_to(h0, (len(points),) + h0.shape).copy()
         for col, label in enumerate(labels):
             h += TWO_PI * points[:, col, None, None] * terms.control_parts[label][sub]
-        # Form the substep unitaries and contract them with a pairwise
-        # (time-ordered) reduction, all in batched matmuls.
-        u = _substep_unitaries(h, half_dt)[index]
+        u = _substep_unitaries(h, half_dt)[index[starts]]
+        if long.any():
+            u[long] = _run_powers(u[long], lengths[long])
+        # Contract the runs with a pairwise (time-ordered) reduction, all in
+        # batched matmuls.
         while len(u) > 1:
             if len(u) % 2:
                 u = np.concatenate([np.matmul(u[1:-1:2], u[0:-1:2]), u[-1:]])
             else:
                 u = np.matmul(u[1::2], u[0::2])
+        u_lab = u[0].T @ u[0] if palindrome else u[0]
         # Remove the idle evolution analytically: U_rot = exp(+i H_idle T) U_lab.
         # H_idle is the static Hamiltonian (here its block), so an idle
         # schedule maps to the identity exactly and the frame phase is
         # diagonal in the dressed basis.
         evals0, evecs0 = np.linalg.eigh(h0)
         frame = (evecs0 * np.exp(1j * evals0 * total_t)) @ evecs0.conj().T
-        out.append(frame @ u[0])
+        out.append(frame @ u_lab)
     return out
 
 

@@ -100,22 +100,25 @@ def sample_pulse(spec: PulseShapeSpec, dt: float = DEFAULT_DT) -> SampledWavefor
 
     Slepian and cosine pulses start and end exactly at 0; square pulses
     are padded with one idle sample on each side so every schedule starts
-    and ends at idle.
+    and ends at idle.  Slepian and cosine pulses are evaluated on their
+    first half and mirrored, so every pulse's samples are a palindrome to
+    the bit, which lets `czsim.propagator` evolve half of the gate.
     """
     if dt > spec.length / 20.0:
         raise PulseError(f"dt = {dt} ns too coarse for a {spec.length} ns pulse (need <= length/20)")
     n_steps = max(int(round(spec.length / dt)), 1)
-    t = np.arange(n_steps + 1) * dt
+    t = np.arange(n_steps // 2 + 1) * dt
     T = n_steps * dt
     peak = spec.peak_value
 
     if spec.family == "square":
         samples = np.concatenate(([0.0], np.full(n_steps + 1, peak), [0.0]))
-    elif spec.family == "cosine":
-        samples = peak * 0.5 * (1.0 - np.cos(2.0 * np.pi * t / T))
-    else:  # slepian
-        u = np.where(t <= T / 2.0, 2.0 * t / T, 2.0 * (T - t) / T)
-        samples = peak * _slepian_ramp(u, spec.slepian_coefficients)
+    else:
+        if spec.family == "cosine":
+            first = peak * 0.5 * (1.0 - np.cos(2.0 * np.pi * t / T))
+        else:  # slepian
+            first = peak * _slepian_ramp(2.0 * t / T, spec.slepian_coefficients)
+        samples = np.concatenate((first, first[:(n_steps + 1) // 2][::-1]))
     return SampledWaveform(dt=dt, samples=samples, parameterization="effective_coupling")
 
 

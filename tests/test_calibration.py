@@ -18,7 +18,7 @@ from czsim.calibration import (
 from czsim.device import build_hamiltonian, zero_coupling_point
 from czsim.distortion import DistortionModel, apply_distortion
 from czsim.metrics import gate_report, project_computational, wrap_angle
-from czsim.propagator import propagate
+from czsim.propagator import ControlSchedule, propagate
 from czsim.pulses import PulseShapeSpec, SampledWaveform
 from helpers import eigh_propagate, with_levels
 
@@ -166,6 +166,69 @@ def test_gate_run_diagonalizes_no_block_above_six_states(gate_context, run_confi
     gate_context.run(replace(run_config.pulse, peak_value=PINNED_PEAK), PINNED_DETUNE)
     assert sorted(substep_sizes) == [1, 3, 6]
     assert frame_sizes and max(frame_sizes) <= 6
+
+
+def _substep_counts(monkeypatch, terms, schedule, blocks):
+    """Propagate, recording how many substep matrices reach the exponential
+    per block, and check the result against the eigh reference kernel."""
+    counts = []
+    substep_unitaries = propagator._substep_unitaries
+
+    def recording_substeps(h, tau):
+        counts.append(len(h))
+        return substep_unitaries(h, tau)
+
+    monkeypatch.setattr(propagator, "_substep_unitaries", recording_substeps)
+    new = propagate(terms, schedule, blocks=blocks)
+    old = eigh_propagate(terms, schedule, blocks)
+    assert np.max(np.abs(new.propagator - old.propagator)) <= 1e-11
+    assert len(counts) == len(blocks)
+    return counts
+
+
+@pytest.mark.parametrize("family, most", [("slepian", 900), ("square", 5)])
+def test_symmetric_gate_evolves_half_its_substeps(gate_context, family, most, monkeypatch):
+    # A 45 ns gate at dt 0.05 has 900 steps (902 for the padded square),
+    # 1,800 substeps; the half path exponentiates at most the first 900,
+    # and the square's plateau is one run.
+    pulse = PulseShapeSpec(family, 45.0, PINNED_PEAK)
+    schedule = gate_context.build_schedule(pulse, PINNED_DETUNE)
+    counts = _substep_counts(monkeypatch, gate_context.terms, schedule, gate_context.blocks)
+    assert max(counts) <= most
+
+
+def test_asymmetric_schedules_take_the_full_path(run_config, gate_context, monkeypatch):
+    pulse = PulseShapeSpec("slepian", 45.0, PINNED_PEAK)
+    schedule = gate_context.build_schedule(pulse, PINNED_DETUNE)
+    dq2 = schedule.qubit_offsets["Q2"].samples.copy()
+    dq2[300] += 1e-12
+    nudged = ControlSchedule(schedule.coupler_trajectory, {
+        "Q1": schedule.qubit_offsets["Q1"],
+        "Q2": replace(schedule.qubit_offsets["Q2"], samples=dq2)})
+    lined = GateContext(run_config.device, dt=run_config.dt,
+                        distortion=DistortionModel(settling_terms=((-0.01, 40.0),)))
+    predistorted = lined.build_schedule(pulse, PINNED_DETUNE)
+    for asymmetric in (nudged, predistorted):
+        counts = _substep_counts(monkeypatch, gate_context.terms, asymmetric,
+                                 gate_context.blocks)
+        assert min(counts) > 900
+
+
+def test_staircase_runs_match_eigh_reference(gate_context, monkeypatch):
+    # Plateaus of 1, 2, 7 and 300 steps: runs of 2, 4, 14 and 600 equal
+    # substeps between single ramp steps, in no mirror order.
+    idle = gate_context.idle
+    levels = idle - np.array([0.05, 0.4, 0.1, 0.25])
+    lengths = np.array([1, 2, 7, 300])
+    wc = np.concatenate(([idle], np.repeat(levels, lengths + 1), [idle]))
+    wf = SampledWaveform(gate_context.dt, wc, "coupler_frequency")
+    offsets = {"Q2": SampledWaveform(gate_context.dt, np.full(len(wc), -0.01),
+                                     "coupler_frequency")}
+    schedule = ControlSchedule(wf, offsets)
+    terms = gate_context.terms
+    counts = _substep_counts(monkeypatch, terms, schedule, terms.blocks)
+    # The two ramp substeps of each of the five ramp steps, and one per plateau.
+    assert max(counts) == 2 * 5 + 4
 
 
 @pytest.mark.parametrize("family", ["slepian", "cosine", "square"])

@@ -17,7 +17,7 @@ from czsim.propagator import (
     propagate,
 )
 from czsim.pulses import CouplingInverter, PulseShapeSpec, SampledWaveform, sample_pulse
-from helpers import eigh_substep_unitaries, refine_schedule, with_levels
+from helpers import eigh_propagate, eigh_substep_unitaries, refine_schedule, with_levels
 
 
 def _idle_schedule(terms, length, dt):
@@ -159,6 +159,44 @@ def test_substep_exponential_matches_eigh(n, count, theta, shift, seed):
     assert np.max(np.abs(u - eigh_substep_unitaries(h, tau)), initial=0.0) <= 1e-13
     defect = np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(n))
     assert np.max(defect, initial=0.0) <= 1e-13
+
+
+def _random_controls(kind, n, rng):
+    """n samples of one control: mirrored ("palindrome"), held on random
+    plateaus ("plateaus") or drawn independently ("generic"), in [-1, 1]."""
+    if kind == "palindrome":
+        first = rng.uniform(-1.0, 1.0, size=(n + 1) // 2)
+        return np.concatenate((first, first[:n - len(first)][::-1]))
+    if kind == "plateaus":
+        edges = np.sort(rng.choice(np.arange(1, n), size=min(3, n - 1), replace=False))
+        return np.repeat(rng.uniform(-1.0, 1.0, size=len(edges) + 1),
+                         np.diff(np.concatenate(([0], edges, [n]))))
+    return rng.uniform(-1.0, 1.0, size=n)
+
+
+@given(
+    kind=st.sampled_from(["palindrome", "plateaus", "generic"]),
+    n=st.integers(2, 60),
+    dt=st.sampled_from([0.05, 0.2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_propagate_properties_on_random_schedules(terms, kind, n, dt, seed):
+    # Coupler within 0.5 GHz and qubits within 0.02 GHz of idle keep every
+    # substep phase below 0.7 rad at dt 0.2, inside the step-size guard.
+    rng = np.random.default_rng(seed)
+    wc = terms.spec.coupler.frequency + 0.5 * _random_controls(kind, n, rng)
+    offsets = {label: SampledWaveform(dt, 0.02 * _random_controls(kind, n, rng),
+                                      "coupler_frequency") for label in ("Q1", "Q2")}
+    schedule = ControlSchedule(SampledWaveform(dt, wc, "coupler_frequency"), offsets)
+    result = propagate(terms, schedule)
+    u = result.propagator
+    n_exc = _excitation_numbers(terms)
+    assert np.all(u[n_exc[:, None] != n_exc[None, :]] == 0.0)
+    for idx in terms.blocks:
+        block = u[np.ix_(idx, idx)]
+        assert np.max(np.abs(block.conj().T @ block - np.eye(len(idx)))) <= 1e-12
+    assert np.max(np.abs(u - eigh_propagate(terms, schedule).propagator)) <= 1e-11
 
 
 @pytest.mark.parametrize("columns", [1, 2, 3])

@@ -83,6 +83,34 @@ def test_slepian_ramp_monotone():
     assert np.allclose(wf.samples, wf.samples[::-1], atol=1e-12)
 
 
+@pytest.mark.parametrize("family", ["square", "slepian", "cosine"])
+@pytest.mark.parametrize("length", [45.0, 45.05])
+def test_samples_are_bitwise_palindromes(family, length):
+    # 900 and 901 steps at dt 0.05: an odd and an even number of samples
+    # for slepian and cosine (square adds two padding samples).
+    wf = sample_pulse(_spec(family=family, length=length,
+                            slepian_coefficients=(0.8, 0.2)), dt=0.05)
+    assert np.array_equal(wf.samples, wf.samples[::-1])
+
+
+@pytest.mark.parametrize("family", ["square", "slepian", "cosine"])
+@pytest.mark.parametrize("compensate", [True, False])
+def test_schedules_are_bitwise_palindromes(device, family, compensate):
+    # Every step after sample_pulse is pointwise, so the mirrored samples
+    # give a coupler trajectory and qubit offsets that mirror to the bit;
+    # the propagator evolves only half of such a schedule.
+    ctx = GateContext(device, compensate=compensate)
+    for length in (45.0, 45.05):
+        for q2_detune in (0.0, -0.0138206):
+            schedule = ctx.build_schedule(_spec(family=family, length=length, peak=-0.0217),
+                                          q2_detune)
+            controls = [schedule.coupler_trajectory.samples]
+            controls += [wf.samples for wf in schedule.qubit_offsets.values()]
+            assert len(controls) == 3
+            for c in controls:
+                assert np.array_equal(c, c[::-1])
+
+
 @given(
     family=st.sampled_from(["square", "slepian", "cosine"]),
     length=st.floats(10.0, 80.0),
@@ -93,6 +121,7 @@ def test_samples_within_envelope(family, length, peak):
     wf = sample_pulse(_spec(family=family, length=length, peak=peak), dt=0.25)
     assert np.all(wf.samples <= 1e-12)
     assert np.all(wf.samples >= peak - 1e-12)
+    assert np.array_equal(wf.samples, wf.samples[::-1])
 
 
 def test_coupling_to_frequency_residual(device):
