@@ -42,25 +42,23 @@ _LAYER_TABLE = {
     1: _GATES,
     2: np.stack([np.kron(a, b) for a in _GATES for b in _GATES]),
 }
+# The ideal two-qubit circuits' layers, with the labeled CZ after each pi/2 layer.
+_IDEAL_CZ_TABLE = CZ @ _LAYER_TABLE[2]
 _LABEL_OF = {name: i for i, name in enumerate(GATE_NAMES)}
-_LABEL_WEIGHTS = {n: len(GATE_NAMES) ** np.arange(n - 1, -1, -1) for n in _LAYER_TABLE}
-
-
-def _layer_table(n_qubits: int, two_qubit: np.ndarray | None = None) -> np.ndarray:
-    """_LAYER_TABLE[n_qubits], each entry followed by two_qubit when given.
-
-    The two-qubit gate follows every pi/2 layer of a two-qubit circuit, so
-    it is ignored for one qubit.  The result has shape (4**n_qubits, D, D).
-    """
-    table = _LAYER_TABLE[n_qubits]
-    if two_qubit is not None and n_qubits == 2:
-        table = two_qubit @ table
-    return table
 
 
 def _layer_index(labels: np.ndarray) -> np.ndarray:
-    """Table index of each layer: labels (..., n_qubits) -> (...)."""
-    return labels @ _LABEL_WEIGHTS[labels.shape[-1]]
+    """Table index of each layer: labels (..., n_qubits) -> (...).
+
+    The index sum_q 4^(n-1-q) label_q is built in place in uint8 (a table
+    has at most 16 entries), so indexing every layer of a large batch at
+    once adds only an eighth of the labels' memory.
+    """
+    index = np.zeros(labels.shape[:-1], dtype=np.uint8)
+    for q in range(labels.shape[-1]):
+        index <<= 2
+        np.add(index, labels[..., q], out=index, casting="unsafe")
+    return index
 
 
 def _channel_table(unitaries: np.ndarray, p: float) -> np.ndarray:
@@ -89,9 +87,12 @@ class NoiseSpec:
 
     depolarizing_per_cycle: float = 0.0
     readout_confusion: dict[int, np.ndarray] = field(default_factory=dict)
-    # confusion_map's result by qubit count, built on first use.
+    # confusion_map's result by qubit count and channel_table's by (qubit
+    # count, two-qubit map bytes), built on first use.
     _confusion_maps: dict[int, np.ndarray] = field(default_factory=dict, init=False,
                                                    repr=False, compare=False)
+    _channel_tables: dict[tuple[int, bytes | None], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = self.depolarizing_per_cycle
@@ -116,6 +117,26 @@ class NoiseSpec:
             for q in f00
         }
         return cls(depolarizing_per_cycle=depolarizing_per_cycle, readout_confusion=confusion)
+
+    def channel_table(self, n_qubits: int, two_qubit: np.ndarray | None = None) -> np.ndarray:
+        """The read-only _channel_table of every pi/2 layer of n_qubits, each
+        followed by two_qubit when given, at this depolarizing probability.
+
+        The two-qubit gate follows every pi/2 layer of a two-qubit circuit,
+        so it is ignored for one qubit.  Built once per (n_qubits, bytes of
+        the two-qubit map) and kept.
+        """
+        if n_qubits != 2:
+            two_qubit = None
+        key = (n_qubits, None if two_qubit is None else np.asarray(two_qubit, complex).tobytes())
+        if key not in self._channel_tables:
+            layers = _LAYER_TABLE[n_qubits]
+            if two_qubit is not None:
+                layers = two_qubit @ layers
+            table = _channel_table(layers, self.depolarizing_per_cycle)
+            table.setflags(write=False)
+            self._channel_tables[key] = table
+        return self._channel_tables[key]
 
     def confusion_map(self, n_qubits: int) -> np.ndarray | None:
         """The read-only D x D confusion matrix of qubits 0 .. n_qubits - 1."""
@@ -159,7 +180,7 @@ def simulate_circuit(circuit: RandomCircuit, noise: NoiseSpec | None = None,
 
     The ideal path is batch_ideal_probs on this one circuit.  The noisy
     path evolves vec(rho) through one superoperator per cycle, gathered by
-    label from _channel_table: the pi/2 layer, the (possibly device-backed,
+    label from noise.channel_table: the pi/2 layer, the (possibly device-backed,
     possibly leaky) CZ map and a global depolarizing channel.  The readout
     confusion acts on the final probabilities.
     """
@@ -169,8 +190,7 @@ def simulate_circuit(circuit: RandomCircuit, noise: NoiseSpec | None = None,
     noise = noise or NoiseSpec()
     dim = 2 ** circuit.n_qubits
     two_qubit = (CZ if cz_gate is None else cz_gate) if circuit.include_cz else None
-    channels = _channel_table(_layer_table(circuit.n_qubits, two_qubit),
-                              noise.depolarizing_per_cycle)
+    channels = noise.channel_table(circuit.n_qubits, two_qubit)
     rho = np.zeros(dim * dim, dtype=complex)
     rho[0] = 1.0
     for channel in channels[_layer_index(labels)]:
@@ -397,13 +417,13 @@ def batch_random_labels(n_circuits: int, depth: int, n_qubits: int, seed: int) -
 def batch_ideal_probs(labels: np.ndarray, include_cz: bool = True) -> np.ndarray:
     """Exact output probabilities for a batch of circuits, shape (n, D)."""
     _, n_circuits, n_qubits = labels.shape
-    table = _layer_table(n_qubits, CZ if include_cz else None)
+    table = _IDEAL_CZ_TABLE if include_cz and n_qubits == 2 else _LAYER_TABLE[n_qubits]
     psi = np.zeros((n_circuits, 2 ** n_qubits), dtype=complex)
     psi[:, 0] = 1.0
-    # One layer at a time: gathering every layer's unitaries at once would
+    # Gather one layer at a time: every layer's unitaries at once would
     # hold depth x n_circuits matrices.
-    for layer in labels:
-        psi = np.einsum("nij,nj->ni", table[_layer_index(layer)], psi)
+    for layer in _layer_index(labels):
+        psi = np.einsum("nij,nj->ni", table[layer], psi)
     return np.abs(psi) ** 2
 
 

@@ -219,37 +219,47 @@ def calibrate_cz(ctx: GateContext, pulse: PulseShapeSpec,
 
     A coarse grid seeds scipy's Nelder-Mead on 1 - fidelity over the two
     knobs (start steps 0.002 and 0.004 GHz), which stops when its values
-    spread by at most 1e-10 or after nm_iterations updates.  Returns the
-    calibrated pulse, the Q2 detune, and the report.
+    spread by at most 1e-10 or after nm_iterations updates.  Each
+    (peak, detune) is evaluated at most once per call: the grid's best
+    point is the simplex's first vertex, and the simplex's best vertex is
+    the returned report.  Returns the calibrated pulse, the Q2 detune, and
+    the report.
     """
+    reports = {}
+
+    def evaluate(peak, detune) -> GateReport | None:
+        """The report at (peak, detune), or None where the gate cannot be built."""
+        key = (float(peak), float(detune))
+        if key not in reports:
+            try:
+                reports[key] = ctx.report(replace(pulse, peak_value=key[0]), key[1])
+            except (ValueError, DeviceModelError):
+                reports[key] = None
+        return reports[key]
+
     if seed_peak is None or seed_detune is None:
         best = None
         peaks = np.linspace(-0.030, -0.010, 11)
         detunes = np.linspace(-0.050, -0.005, 10)
         for peak in peaks:
             for det in detunes:
-                try:
-                    rep = ctx.report(replace(pulse, peak_value=peak), det)
-                except (ValueError, DeviceModelError):
-                    continue
-                if best is None or rep.fidelity > best[2]:
+                rep = evaluate(peak, det)
+                if rep is not None and (best is None or rep.fidelity > best[2]):
                     best = (peak, det, rep.fidelity)
         if best is None:
             raise CalibrationError("coarse search found no usable operating point")
         seed_peak, seed_detune = best[0], best[1]
 
     def objective(x):
-        try:
-            rep = ctx.report(replace(pulse, peak_value=x[0]), x[1])
-        except (ValueError, DeviceModelError):
-            return 1.0
-        return 1.0 - rep.fidelity
+        rep = evaluate(x[0], x[1])
+        return 1.0 if rep is None else 1.0 - rep.fidelity
 
     point, _, _ = nelder_mead_minimize(objective, [seed_peak, seed_detune], [0.002, 0.004],
                                        value_tol=1e-10, max_iterations=nm_iterations)
-    calibrated = replace(pulse, peak_value=float(point[0]))
-    report = ctx.report(calibrated, float(point[1]))
-    return calibrated, float(point[1]), report
+    report = evaluate(point[0], point[1])
+    if report is None:
+        raise CalibrationError(f"no usable operating point near ({seed_peak}, {seed_detune})")
+    return replace(pulse, peak_value=float(point[0])), float(point[1]), report
 
 
 def calibrated_length_sweep(ctx: GateContext, pulse: PulseShapeSpec, lengths,
@@ -260,10 +270,15 @@ def calibrated_length_sweep(ctx: GateContext, pulse: PulseShapeSpec, lengths,
     """Best-calibrated gate figures versus pulse length for one family.
 
     Each length is recalibrated over (peak coupling, Q2 detune).  Smooth
-    families (slepian, cosine) track the operating point by continuation
-    from a seed length outward; the square family's landscape is fringed,
-    so every length reruns the coarse search.  Returns one record per
-    length, in ascending length order.
+    families (slepian, cosine) calibrate seed_length once with the full
+    `calibrate_cz`, from (seed_peak, seed_detune) or, without them, the
+    coarse grid; its record is kept when seed_length is in `lengths`.  From
+    there each branch (longer, then shorter lengths) continues outward one
+    neighbour at a time, seeded by the last calibration, with at most
+    nm_iterations simplex updates per length.  The square family's
+    landscape is fringed, so every length reruns the coarse search and the
+    seeds are ignored.  Returns one record per length, in ascending length
+    order.
     """
     lengths = sorted(float(v) for v in lengths)
     if not lengths:
@@ -287,19 +302,19 @@ def calibrated_length_sweep(ctx: GateContext, pulse: PulseShapeSpec, lengths,
             record(length, cal, det, rep)
         return [records[v] for v in lengths]
 
-    if seed_peak is None or seed_detune is None:
-        cal, det, _ = calibrate_cz(ctx, replace(pulse, length=seed_length))
-        seed_peak, seed_detune = cal.peak_value, det
-    pivot = min(range(len(lengths)), key=lambda i: abs(lengths[i] - seed_length))
-    upward = lengths[pivot:]
-    downward = lengths[:pivot][::-1]
+    seed_length = float(seed_length)
+    seed, seed_det, rep = calibrate_cz(ctx, replace(pulse, length=seed_length),
+                                       seed_peak=seed_peak, seed_detune=seed_detune)
+    if seed_length in lengths:
+        record(seed_length, seed, seed_det, rep)
+    upward = [v for v in lengths if v > seed_length]
+    downward = [v for v in lengths if v < seed_length][::-1]
     for branch in (upward, downward):
-        peak, det = seed_peak, seed_detune
+        cal, det = seed, seed_det
         for length in branch:
-            p = replace(pulse, length=length)
-            cal, det, rep = calibrate_cz(ctx, p, seed_peak=peak, seed_detune=det,
+            cal, det, rep = calibrate_cz(ctx, replace(pulse, length=length),
+                                         seed_peak=cal.peak_value, seed_detune=det,
                                          nm_iterations=nm_iterations)
-            peak = cal.peak_value
             record(length, cal, det, rep)
     return [records[v] for v in lengths]
 

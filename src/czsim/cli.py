@@ -103,17 +103,24 @@ def _context(cfg: RunConfig) -> GateContext:
     return _gate_context(cfg.device, cfg.dt, cfg.compensate, cfg.distortion)
 
 
-def _calibrated(cfg: RunConfig, ctx: GateContext, pulse):
-    """Calibrated (pulse, q2_detune, report); seeds from the config when present.
+def _seed(cfg: RunConfig, pulse) -> tuple[float | None, float | None]:
+    """The (peak coupling, Q2 detune) that every command's calibration of
+    `pulse` starts from: the config's peak and Q2 detune for the smooth
+    families, or (None, None), the coarse search, when the config holds no
+    seed (a zero peak or no detune).
 
     The square family's fidelity landscape is fringed and its optimum sits
-    in a different basin than the smooth families', so config seeds are
-    ignored for it and the coarse search always runs.
+    in a different basin than the smooth families', so it always gets the
+    coarse search.
     """
-    seed_peak = pulse.peak_value if pulse.peak_value != 0.0 else None
-    seed_detune = cfg.q2_detune
-    if seed_detune is None or pulse.family == "square":
-        seed_peak = seed_detune = None  # coarse search for both knobs
+    if pulse.family == "square" or pulse.peak_value == 0.0 or cfg.q2_detune is None:
+        return None, None
+    return pulse.peak_value, cfg.q2_detune
+
+
+def _calibrated(cfg: RunConfig, ctx: GateContext, pulse):
+    """Calibrated (pulse, q2_detune, report) by `calibrate_cz` from `_seed`'s start."""
+    seed_peak, seed_detune = _seed(cfg, pulse)
     return calibrate_cz(ctx, pulse, seed_peak=seed_peak, seed_detune=seed_detune)
 
 
@@ -162,11 +169,18 @@ def cmd_gate(cfg: RunConfig, args) -> int:
 # ---------------------------------------------------------------- sweep
 
 def _fig2b_family(task):
+    """One fig2b column: the family's calibrated leakage at each length.
+
+    The sweep starts from `_seed`, as `czsim gate` does, so with the
+    config's pulse length as the calibration length the smooth families'
+    record there is the `czsim gate` calibration.
+    """
     cfg, family, lengths, calibration_length = task
     ctx = _context(cfg)
     pulse = replace(cfg.pulse, family=family)
-    records = calibrated_length_sweep(ctx, pulse, lengths,
-                                      seed_length=calibration_length)
+    seed_peak, seed_detune = _seed(cfg, pulse)
+    records = calibrated_length_sweep(ctx, pulse, lengths, seed_peak=seed_peak,
+                                      seed_detune=seed_detune, seed_length=calibration_length)
     return [rec["leakage"] for rec in records]
 
 

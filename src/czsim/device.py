@@ -130,6 +130,26 @@ class HamiltonianTerms:
         n_blocks, labels = connected_components(pattern, directed=False)
         return tuple(np.flatnonzero(labels == b) for b in range(n_blocks))
 
+    @cached_property
+    def _block_parts(self) -> dict[bytes, tuple[np.ndarray, np.ndarray]]:
+        return {}
+
+    def block_parts(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The idx x idx block of static_part, and the same block of every
+        control part, in sorted label order, flattened to the rows of one
+        (n_controls, n * n) matrix, both read-only.  Sliced once per index
+        set and kept."""
+        key = np.asarray(idx, dtype=np.intp).tobytes()
+        if key not in self._block_parts:
+            sub = np.ix_(idx, idx)
+            parts = (self.static_part[sub],
+                     np.stack([self.control_parts[label][sub].ravel()
+                               for label in sorted(self.control_parts)]))
+            for part in parts:
+                part.setflags(write=False)
+            self._block_parts[key] = parts
+        return self._block_parts[key]
+
     def assemble(self, offsets_ghz: dict[str, float] | None = None) -> np.ndarray:
         """H for the given per-mode frequency offsets (GHz), in rad/ns."""
         h = self.static_part.copy()

@@ -29,7 +29,10 @@ The Hamiltonian leaves a set of subspaces invariant for any control values
 (`HamiltonianTerms.blocks`; for the exchange-coupled model these are the
 sectors of fixed total excitation number), so each step is exponentiated
 block by block over those subspaces and the blocks' time-ordered products
-are written back into the full-space propagator.  `propagate` evolves every
+are written back into the full-space propagator.  Each block's terms are
+sliced once per `HamiltonianTerms` (`block_parts`), and its substep
+Hamiltonians are one product of the node offsets with its control terms.
+`propagate` evolves every
 block by default; given a subset of the blocks it evolves only those,
 leaving the other rows and columns zero.  Gate runs
 (`czsim.calibration.GateContext.run`) pass the blocks that hold the
@@ -205,7 +208,7 @@ def _substep_unitaries(h: np.ndarray, tau: float) -> np.ndarray:
     a = h.copy()
     _shift_diagonal(a, -mu[:, None])
     a *= tau
-    theta = float(np.abs(a).sum(axis=2).max())
+    theta = float((np.abs(a).reshape(k * n, n) @ np.ones(n)).max())
     squarings = 0
     if theta > _MAX_TAYLOR_NORM:
         squarings = int(np.ceil(np.log2(theta / _MAX_TAYLOR_NORM)))
@@ -267,19 +270,20 @@ def _evolve_blocks(terms: HamiltonianTerms, schedule: ControlSchedule,
         offsets = {label: nodes[:n_steps] for label, nodes in offsets.items()}
 
     # Exponentiate each distinct substep Hamiltonian only once, and each
-    # run of equal consecutive substeps as one power of its unitary.
-    labels = sorted(offsets)
-    points, index = _distinct_rows(np.column_stack([offsets[label] for label in labels]))
+    # run of equal consecutive substeps as one power of its unitary.  The
+    # columns follow `block_parts`' sorted control labels; a mode without
+    # an offset gets zeros.
+    idle = np.zeros(len(offsets["C"]))
+    nodes = np.column_stack([offsets.get(label, idle) for label in sorted(terms.control_parts)])
+    points, index = _distinct_rows(nodes)
     starts = np.flatnonzero(np.concatenate(([True], index[1:] != index[:-1])))
     lengths = np.diff(np.append(starts, len(index)))
     long = lengths > 1
     out = []
     for idx in blocks:
-        sub = np.ix_(idx, idx)
-        h0 = terms.static_part[sub]
-        h = np.broadcast_to(h0, (len(points),) + h0.shape).copy()
-        for col, label in enumerate(labels):
-            h += TWO_PI * points[:, col, None, None] * terms.control_parts[label][sub]
+        h0, controls = terms.block_parts(idx)
+        h = ((TWO_PI * points) @ controls).reshape((len(points),) + h0.shape)
+        h += h0
         u = _substep_unitaries(h, half_dt)[index[starts]]
         if long.any():
             u[long] = _run_powers(u[long], lengths[long])

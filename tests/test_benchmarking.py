@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from czsim import benchmarking
 from czsim.benchmarking import (
     CZ,
     GATE_MATRICES,
@@ -232,6 +233,35 @@ def test_simulate_matches_density_matrix_loop(case):
     ideal_ref, noisy_ref = looped_circuit_probs(circuit, noise, gate)
     assert np.max(np.abs(ideal - ideal_ref)) <= 1e-13
     assert np.max(np.abs(noisy - noisy_ref)) <= 1e-13
+
+
+def test_simulate_builds_one_channel_table_per_noise_and_gate(monkeypatch):
+    built = []
+    channel_table = benchmarking._channel_table
+
+    def recording_table(unitaries, p):
+        built.append(p)
+        return channel_table(unitaries, p)
+
+    monkeypatch.setattr(benchmarking, "_channel_table", recording_table)
+    noise = NoiseSpec(0.01)
+    leaky = 0.99 * CZ
+    circuits = [generate_circuit(2, 6, seed) for seed in range(5)]
+    first = [simulate_circuit(c, noise) for c in circuits]
+    assert len(built) == 1
+    # An equal CZ map in a new array is the same key; another map is not.
+    again = [simulate_circuit(c, noise, CZ.copy()) for c in circuits]
+    assert len(built) == 1
+    assert all(np.array_equal(a[1], b[1]) for a, b in zip(first, again))
+    for c in circuits:
+        simulate_circuit(c, noise, leaky)
+    assert len(built) == 2
+    simulate_circuit(generate_circuit(1, 6, 0), noise, leaky)
+    assert len(built) == 3
+    simulate_circuit(circuits[0], NoiseSpec(0.01))
+    assert len(built) == 4
+    with pytest.raises(ValueError):
+        noise.channel_table(2)[0, 0, 0] = 0.0
 
 
 def test_batch_ideal_matches_simulate():

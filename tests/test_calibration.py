@@ -3,12 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from czsim import propagator
+from czsim import calibration, propagator
 from czsim.calibration import (
     CalibrationError,
     GateContext,
     ScanGrid,
     ScanResult,
+    calibrate_cz,
+    calibrated_length_sweep,
     compensation_curve,
     dressed_qubit_transitions,
     leakage_scan,
@@ -336,3 +338,59 @@ def test_repeated_gate_scan_rejects_unordered_counts(gate_context, run_config, n
     # would have to reorder, or one holding N < 1, is refused.
     with pytest.raises(CalibrationError, match="strictly increasing"):
         repeated_gate_scan(gate_context, run_config.pulse, n_list, [-0.0217], q2_detune=-0.0138)
+
+
+def _recorded_reports(monkeypatch, ctx):
+    """Record the (peak, detune) of every report the context computes."""
+    points = []
+    report = ctx.report
+
+    def recording_report(pulse, q2_detune=0.0):
+        points.append((pulse.peak_value, q2_detune))
+        return report(pulse, q2_detune)
+
+    monkeypatch.setattr(ctx, "report", recording_report)
+    return points
+
+
+@pytest.mark.parametrize("seeds, nm_iterations", [((-0.0217, -0.0138), 200), ((None, None), 6)])
+def test_calibrate_cz_evaluates_each_point_once(gate_context, run_config, monkeypatch,
+                                                seeds, nm_iterations):
+    # The grid's best point is the simplex's first vertex and the simplex's
+    # best vertex is the final report: each is evaluated once.
+    points = _recorded_reports(monkeypatch, gate_context)
+    pulse, detune, report = calibrate_cz(gate_context, run_config.pulse, *seeds,
+                                         nm_iterations=nm_iterations)
+    assert len(points) == len(set(points))
+    if seeds[0] is None:
+        assert len(points) > 110
+    monkeypatch.undo()
+    again = gate_context.report(pulse, detune)
+    assert np.array_equal(again.projected_map, report.projected_map)
+    assert again.fidelity == report.fidelity
+
+
+@pytest.mark.parametrize("lengths", [(40.0, 45.0, 50.0), (50.0,)])
+def test_length_sweep_calibrates_the_seed_length_once(gate_context, run_config, monkeypatch,
+                                                      lengths):
+    # The seed length gets one full calibrate_cz from the seeds; every other
+    # length continues from its inner neighbour with the 18-update cap.
+    pulse = replace(run_config.pulse, family="cosine")
+    seed = calibrate_cz(gate_context, replace(pulse, length=45.0), -0.0217, -0.0138)
+    calls = []
+
+    def recording_calibrate(ctx, p, seed_peak=None, seed_detune=None, nm_iterations=200):
+        calls.append((p.length, nm_iterations))
+        return calibrate_cz(ctx, p, seed_peak, seed_detune, nm_iterations)
+
+    monkeypatch.setattr(calibration, "calibrate_cz", recording_calibrate)
+    records = calibrated_length_sweep(gate_context, pulse, lengths, seed_peak=-0.0217,
+                                      seed_detune=-0.0138, seed_length=45.0)
+    assert calls[0] == (45.0, 200)
+    assert sorted(calls[1:]) == [(v, 18) for v in lengths if v != 45.0]
+    assert [rec["length"] for rec in records] == list(lengths)
+    if 45.0 in lengths:
+        rec = records[lengths.index(45.0)]
+        cal, det, rep = seed
+        assert (rec["peak_value"], rec["q2_detune"]) == (cal.peak_value, det)
+        assert (rec["fidelity"], rec["leakage"]) == (rep.fidelity, rep.leakage_from_11)

@@ -320,6 +320,36 @@ def test_cli_sweep_requires_figure(tmp_path, capsys):
     assert err["error"]["kind"] == "usage"
 
 
+def test_cli_fig2b_seed_length_is_the_gate_calibration(tmp_path, monkeypatch):
+    # fig2b seeds the smooth families as `czsim gate` does and calibrates
+    # the seed length once, so at the config's length its leakage is the
+    # gate's, bit for bit, in the records and to the CSV's 12 digits.
+    path = _write_cfg(tmp_path)
+    records = {}
+    sweep = czsim.cli.calibrated_length_sweep
+
+    def recording_sweep(ctx, pulse, lengths, *args, **kwargs):
+        records[pulse.family] = sweep(ctx, pulse, lengths, *args, **kwargs)
+        return records[pulse.family]
+
+    monkeypatch.setattr(czsim.cli, "calibrated_length_sweep", recording_sweep)
+    rc = main(["sweep", "--config", str(path), "--output-dir", str(tmp_path / "fig2b"),
+               "--figure", "fig2b", "--lengths", "45:45:5", "--workers", "1"])
+    assert rc == 0
+    table = np.loadtxt(tmp_path / "fig2b" / "fig2b_leakage.csv", delimiter=",", comments="#")
+    for column, family in ((2, "slepian"), (3, "cosine")):
+        out = tmp_path / family
+        assert main(["gate", "--config", str(path), "--output-dir", str(out),
+                     "--shape", family]) == 0
+        gate = json.loads((out / "gate_report.json").read_text())
+        (rec,) = records[family]
+        assert rec["length"] == gate["pulse"]["length_ns"] == 45.0
+        assert rec["leakage"] == gate["report"]["leakage_from_11"]
+        assert (rec["peak_value"], rec["q2_detune"]) \
+            == (gate["pulse"]["peak_value"], gate["q2_detune_ghz"])
+        assert table[column] == float(f"{rec['leakage']:.12g}")
+
+
 def _write_waveform(tmp_path):
     from czsim.pulses import PulseShapeSpec, sample_pulse, waveform_to_csv
 

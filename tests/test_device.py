@@ -96,6 +96,17 @@ def test_assemble_unknown_label(terms):
         terms.assemble({"Q9": 0.1})
 
 
+def test_block_parts_slice_each_block_once(terms):
+    for idx in terms.blocks:
+        static, controls = terms.block_parts(idx)
+        sub = np.ix_(idx, idx)
+        assert np.array_equal(static, terms.static_part[sub])
+        assert np.array_equal(controls, np.stack([terms.control_parts[label][sub].ravel()
+                                                  for label in ("C", "Q1", "Q2")]))
+        again = terms.block_parts(idx.copy())
+        assert again[0] is static and again[1] is controls
+
+
 def test_bare_index_roundtrip(terms):
     labels = terms.bare_labels()
     assert len(labels) == 27
