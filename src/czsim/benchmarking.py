@@ -45,20 +45,12 @@ _LAYER_TABLE = {
 # The ideal two-qubit circuits' layers, with the labeled CZ after each pi/2 layer.
 _IDEAL_CZ_TABLE = CZ @ _LAYER_TABLE[2]
 _LABEL_OF = {name: i for i, name in enumerate(GATE_NAMES)}
+_LABEL_WEIGHTS = {n: len(GATE_NAMES) ** np.arange(n - 1, -1, -1) for n in _LAYER_TABLE}
 
 
 def _layer_index(labels: np.ndarray) -> np.ndarray:
-    """Table index of each layer: labels (..., n_qubits) -> (...).
-
-    The index sum_q 4^(n-1-q) label_q is built in place in uint8 (a table
-    has at most 16 entries), so indexing every layer of a large batch at
-    once adds only an eighth of the labels' memory.
-    """
-    index = np.zeros(labels.shape[:-1], dtype=np.uint8)
-    for q in range(labels.shape[-1]):
-        index <<= 2
-        np.add(index, labels[..., q], out=index, casting="unsafe")
-    return index
+    """Table index of each layer: labels (..., n_qubits) -> (...)."""
+    return labels @ _LABEL_WEIGHTS[labels.shape[-1]]
 
 
 def _channel_table(unitaries: np.ndarray, p: float) -> np.ndarray:
@@ -420,10 +412,10 @@ def batch_ideal_probs(labels: np.ndarray, include_cz: bool = True) -> np.ndarray
     table = _IDEAL_CZ_TABLE if include_cz and n_qubits == 2 else _LAYER_TABLE[n_qubits]
     psi = np.zeros((n_circuits, 2 ** n_qubits), dtype=complex)
     psi[:, 0] = 1.0
-    # Gather one layer at a time: every layer's unitaries at once would
+    # One layer at a time: gathering every layer's unitaries at once would
     # hold depth x n_circuits matrices.
-    for layer in _layer_index(labels):
-        psi = np.einsum("nij,nj->ni", table[layer], psi)
+    for layer in labels:
+        psi = np.einsum("nij,nj->ni", table[_layer_index(layer)], psi)
     return np.abs(psi) ** 2
 
 

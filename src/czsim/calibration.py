@@ -219,36 +219,36 @@ def calibrate_cz(ctx: GateContext, pulse: PulseShapeSpec,
 
     A coarse grid seeds scipy's Nelder-Mead on 1 - fidelity over the two
     knobs (start steps 0.002 and 0.004 GHz), which stops when its values
-    spread by at most 1e-10 or after nm_iterations updates.  Each
-    (peak, detune) is evaluated at most once per call: the grid's best
-    point is the simplex's first vertex, and the simplex's best vertex is
-    the returned report.  Returns the calibrated pulse, the Q2 detune, and
+    spread by at most 1e-10 or after nm_iterations updates.  The call
+    keeps the report of the best point it has seen, keyed on the exact
+    (peak, detune), so neither the grid's best point (the simplex's first
+    vertex) nor the simplex's best vertex (the returned report) is
+    propagated again.  Returns the calibrated pulse, the Q2 detune, and
     the report.
     """
-    reports = {}
+    best = {}
 
     def evaluate(peak, detune) -> GateReport | None:
         """The report at (peak, detune), or None where the gate cannot be built."""
         key = (float(peak), float(detune))
-        if key not in reports:
-            try:
-                reports[key] = ctx.report(replace(pulse, peak_value=key[0]), key[1])
-            except (ValueError, DeviceModelError):
-                reports[key] = None
-        return reports[key]
+        if key in best:
+            return best[key]
+        try:
+            rep = ctx.report(replace(pulse, peak_value=key[0]), key[1])
+        except (ValueError, DeviceModelError):
+            return None
+        if not best or rep.fidelity > next(iter(best.values())).fidelity:
+            best.clear()
+            best[key] = rep
+        return rep
 
     if seed_peak is None or seed_detune is None:
-        best = None
-        peaks = np.linspace(-0.030, -0.010, 11)
-        detunes = np.linspace(-0.050, -0.005, 10)
-        for peak in peaks:
-            for det in detunes:
-                rep = evaluate(peak, det)
-                if rep is not None and (best is None or rep.fidelity > best[2]):
-                    best = (peak, det, rep.fidelity)
-        if best is None:
+        for peak in np.linspace(-0.030, -0.010, 11):
+            for det in np.linspace(-0.050, -0.005, 10):
+                evaluate(peak, det)
+        if not best:
             raise CalibrationError("coarse search found no usable operating point")
-        seed_peak, seed_detune = best[0], best[1]
+        seed_peak, seed_detune = next(iter(best))
 
     def objective(x):
         rep = evaluate(x[0], x[1])
